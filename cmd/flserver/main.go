@@ -55,7 +55,7 @@ func run(args []string) error {
 		treeFanout = fs.Int("tree-fanout", 0, "hierarchical aggregation: children per tree aggregator node (0 = flat fold, ≥2 = tree)")
 		tierQuorum = fs.Float64("tier-quorum", 0, "with -tree-fanout: fraction of an aggregator's children that must deliver or its whole subtree drops (0 = off)")
 
-		quorum      = fs.Float64("quorum", 0, "fraction of selected clients whose updates must arrive for a round to commit (0 = legacy strict/tolerant semantics, >0 implies dropout tolerance)")
+		quorum      = fs.Float64("quorum", 0, "fraction of selected clients whose updates must be aggregated for a round to commit: ⌈q·n⌉ (0 = 1.0, every client); failed clients are always dropped")
 		retries     = fs.Int("retries", 1, "attempts per participant per round (1 = no retries)")
 		retryBudget = fs.Int("retry-budget", 0, "total retries allowed across all participants per round (0 = unbounded)")
 		attemptTO   = fs.Duration("attempt-timeout", 0, "per-attempt timeout before a participant is stripped as a straggler (0 = unbounded)")

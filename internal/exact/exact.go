@@ -271,62 +271,6 @@ func (v *Vec) checkDim(n int) {
 	}
 }
 
-// AddScaledAffine adds w·(a·x[i] + c) into scalar i for every i, with the
-// inner affine map rounded exactly as the equivalent two-instruction float64
-// sequence (`t := a*x[i] + c; acc.AddScaled(w, t)`), then accumulated
-// exactly. It exists for fold pipelines whose per-client update is an affine
-// transform of a shared vector — fusing the transform into the decomposition
-// loop removes a full store-and-reload pass over a scratch vector, which is
-// worth ~15% of a simulated million-client round. Bit-identity with the
-// unfused path is pinned by TestAddScaledAffineMatchesUnfused.
-func (v *Vec) AddScaledAffine(w, a, c float64, x []float64) {
-	v.checkDim(len(x))
-	v.bumpAdds(1)
-	dim := v.dim
-	limbs := v.limbs
-	lo, hi := v.loLimb, v.hiLimb
-	for i, xi := range x {
-		t := a*xi + c
-		b := math.Float64bits(w * t)
-		exp := int(b>>52) & 0x7FF
-		if uint(exp-1) >= 0x7FE {
-			if b<<1 == 0 {
-				continue
-			}
-			v.growWindow(lo, hi)
-			v.addSlow(i, b)
-			lo, hi = v.loLimb, v.hiLimb
-			continue
-		}
-		frac := b&(1<<52-1) | 1<<52
-		pos := exp - 1
-		limb := pos >> 5
-		high, low := bits.Mul64(frac, pow2[pos&31])
-		base := limb*dim + i
-		// Loads before stores — see AddScaled for the 4K-aliasing rationale.
-		d0, d1, d2 := limbs[base], limbs[base+dim], limbs[base+2*dim]
-		if int64(b) < 0 {
-			d0 -= int64(low & limbMask)
-			d1 -= int64(low >> limbBits)
-			d2 -= int64(high)
-		} else {
-			d0 += int64(low & limbMask)
-			d1 += int64(low >> limbBits)
-			d2 += int64(high)
-		}
-		limbs[base] = d0
-		limbs[base+dim] = d1
-		limbs[base+2*dim] = d2
-		if limb < lo {
-			lo = limb
-		}
-		if limb+3 > hi {
-			hi = limb + 3
-		}
-	}
-	v.growWindow(lo, hi)
-}
-
 // AddVec merges o into v exactly: afterwards v holds the sum of everything
 // either accumulator had absorbed. This is the tree-aggregation merge; it is
 // associative by construction. o is left unchanged.

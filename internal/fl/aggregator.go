@@ -62,8 +62,9 @@ type Aggregator interface {
 	// which has length dim+ExtraDim(dim): dst[:dim] is the weighted
 	// parameter vector, dst[dim:] the statistic contributions. jobs is the
 	// round's nominal job count W. The caller has already validated the
-	// parameter length and a positive example count. Errors are
-	// round-fatal, like the legacy validation failures.
+	// parameter length, a positive example count and finite values. An
+	// error refuses the update: the server drops and quarantines its
+	// sender (ErrInvalidUpdate).
 	Contribute(dst, global []float64, resp *RoundResponse, jobs int) error
 	// Commit derives the new global model from the rounded exact totals
 	// (same layout as Contribute's dst) and updates any server-side

@@ -174,23 +174,24 @@ func TestChaosScriptedDropoutsMatchBatchAggregate(t *testing.T) {
 	}
 
 	// Reference: batch FedAvg over exactly the surviving clients' updates.
-	ref := chaosServer(t, n, nil)
+	initial := chaosServer(t, n, nil).GlobalParams()
 	pool := chaosPool(n)
 	survivors := make([]RoundResponse, 0, n-3)
 	for i, p := range pool {
 		if i == 1 || i == 4 || i == 7 {
 			continue
 		}
-		resp, err := p.Round(RoundRequest{Round: 1, Params: ref.GlobalParams(), Jobs: 5, Deadline: res.Deadline})
+		resp, err := p.Round(RoundRequest{Round: 1, Params: initial, Jobs: 5, Deadline: res.Deadline})
 		if err != nil {
 			t.Fatal(err)
 		}
 		survivors = append(survivors, resp)
 	}
-	if err := ref.aggregate(survivors); err != nil {
+	want, err := BatchAggregate(FedAvg{}, initial, survivors, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitsEqual(srv.GlobalParams(), ref.GlobalParams()) {
+	if !bitsEqual(srv.GlobalParams(), want) {
 		t.Fatal("quorum round diverged from the batch aggregate over survivors")
 	}
 	if got := tel.Registry.Counter(obs.MetricFLQuorumRounds, "").Value(); got != 1 {

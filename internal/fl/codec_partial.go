@@ -1,15 +1,17 @@
 package fl
 
 // Partial-aggregate frames: the tier-to-tier wire format of hierarchical
-// aggregation. A tier aggregator folds its children exactly (internal/exact)
-// and ships the accumulator window — not a rounded float64 vector — to its
-// parent, so the root commit is bit-identical to the flat fold no matter how
-// the tree is shaped. The frame reuses the BFL1 layout with a new flag bit
-// (flagLimbs): the payload section carries little-endian uint64 limbs instead
-// of IEEE-754 parameters, and the metadata section carries the tier topology
-// plus the exact-accumulator window descriptor. Round request/response
-// decoders keep rejecting the bit — a partial frame can never be smuggled
-// into the client data plane.
+// aggregation across a process edge. A tier aggregator folds its children
+// exactly (internal/exact) and ships the accumulator window — not a rounded
+// float64 vector — to its parent, so the root commit is bit-identical to the
+// flat fold no matter how the tree is shaped. In-process tiers (tree.go, the
+// fleet simulator) merge limbs directly and never build a frame; the codec is
+// the format a multi-process tier deployment would move. The frame reuses the
+// BFL1 layout with a new flag bit (flagLimbs): the payload section carries
+// little-endian uint64 limbs instead of IEEE-754 parameters, and the metadata
+// section carries the tier topology plus the exact-accumulator window
+// descriptor. Round request/response decoders keep rejecting the bit — a
+// partial frame can never be smuggled into the client data plane.
 
 import (
 	"bytes"
@@ -17,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"bofl/internal/exact"
 	"bofl/internal/obs"
@@ -26,10 +27,6 @@ import (
 // flagLimbs marks a partial-aggregate frame: payload is uint64 limbs of an
 // exact accumulator window, not float64 parameters.
 const flagLimbs byte = 1 << 2
-
-// metaPool recycles decode-side metadata structs; a local would escape into
-// the encoding/json fallback path and allocate per frame.
-var metaPool = sync.Pool{New: func() any { return new(partialMeta) }}
 
 // PartialAggregate is one tier aggregator's weighted partial sum plus the
 // topology needed to audit it: which tier and node produced it, which leaf
@@ -77,18 +74,9 @@ func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 		Specials: pa.Sum.Specials,
 		TraceID:  pa.Trace.TraceID, SpanID: pa.Trace.SpanID,
 	}
-	mbp := getBytes(64)
-	defer putBytes(mbp)
-	mb, fast := appendPartialMeta((*mbp)[:0], &meta)
-	if !fast {
-		var err error
-		if mb, err = jsonMarshalMeta(meta); err != nil {
-			return err
-		}
-	} else if len(mb) > maxMetaBytes {
-		return fmt.Errorf("fl: frame meta %d bytes exceeds %d", len(mb), maxMetaBytes)
-	} else {
-		*mbp = mb // keep any growth when the buffer returns to the pool
+	mb, err := jsonMarshalMeta(meta)
+	if err != nil {
+		return err
 	}
 	if len(pa.Sum.Limbs) > maxFrameParams {
 		return fmt.Errorf("fl: %d limbs exceed frame limit %d", len(pa.Sum.Limbs), maxFrameParams)
@@ -116,11 +104,7 @@ func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 		payload = comp.Bytes()
 	}
 
-	// Pooled header scratch: a stack array would escape through the io.Writer
-	// interface and cost one heap allocation per frame.
-	hp := getBytes(17)
-	defer putBytes(hp)
-	hdr := *hp
+	var hdr [17]byte
 	copy(hdr[:4], frameMagic[:])
 	hdr[4] = flags
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(mb)))
@@ -146,107 +130,80 @@ func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 // has to pass exact.Vec.Absorb's window validation before it can touch an
 // accumulator.
 func DecodePartialAggregate(r io.Reader) (PartialAggregate, error) {
-	var pa PartialAggregate
-	if err := DecodePartialAggregateInto(r, &pa); err != nil {
-		return PartialAggregate{}, err
-	}
-	return pa, nil
-}
-
-// DecodePartialAggregateInto is DecodePartialAggregate decoding into a
-// caller-owned frame, reusing pa.Sum.Limbs when it has capacity — the
-// zero-allocation path for aggregators that decode one frame per tier close.
-// On error *pa is left zeroed (its limb capacity is kept for reuse).
-func DecodePartialAggregateInto(r io.Reader, pa *PartialAggregate) error {
-	limbs := pa.Sum.Limbs[:0]
-	prevTrace := pa.Trace // reuse hint: same-round frames repeat their ids
-	*pa = PartialAggregate{}
-	// Pooled header/trailer scratch: stack arrays would escape through the
-	// io.Reader interface and cost two heap allocations per frame.
-	hp := getBytes(17)
-	defer putBytes(hp)
-	hdr := (*hp)[:9]
-	tail := (*hp)[9:17]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
+	var hdr [9]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return PartialAggregate{}, fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
 	}
 	if !bytes.Equal(hdr[:4], frameMagic[:]) {
-		return fmt.Errorf("%w: bad magic %q", ErrCorruptFrame, hdr[:4])
+		return PartialAggregate{}, fmt.Errorf("%w: bad magic %q", ErrCorruptFrame, hdr[:4])
 	}
 	flags := hdr[4]
 	if flags&flagLimbs == 0 || flags&^(flagGzip|flagLimbs) != 0 {
-		return fmt.Errorf("%w: not a partial-aggregate frame (flags %#x)", ErrCorruptFrame, flags)
+		return PartialAggregate{}, fmt.Errorf("%w: not a partial-aggregate frame (flags %#x)", ErrCorruptFrame, flags)
 	}
 	metaLen := binary.LittleEndian.Uint32(hdr[5:9])
 	if metaLen > maxMetaBytes {
-		return fmt.Errorf("%w: meta %d bytes exceeds %d", ErrCorruptFrame, metaLen, maxMetaBytes)
+		return PartialAggregate{}, fmt.Errorf("%w: meta %d bytes exceeds %d", ErrCorruptFrame, metaLen, maxMetaBytes)
 	}
-	mb := getBytes(int(metaLen))
-	defer putBytes(mb)
-	if _, err := io.ReadFull(r, *mb); err != nil {
-		return fmt.Errorf("%w: read meta: %w", ErrCorruptFrame, err)
+	mb := make([]byte, metaLen)
+	if _, err := io.ReadFull(r, mb); err != nil {
+		return PartialAggregate{}, fmt.Errorf("%w: read meta: %w", ErrCorruptFrame, err)
 	}
-	meta := metaPool.Get().(*partialMeta)
-	defer metaPool.Put(meta)
-	*meta = partialMeta{TraceID: prevTrace.TraceID, SpanID: prevTrace.SpanID}
-	if !parsePartialMeta(*mb, meta) {
-		// Non-canonical but possibly valid JSON (reordered fields, escapes,
-		// whitespace): let encoding/json be the arbiter.
-		*meta = partialMeta{}
-		if err := jsonUnmarshalMeta(*mb, meta); err != nil {
-			return err
-		}
+	var meta partialMeta
+	if err := jsonUnmarshalMeta(mb, &meta); err != nil {
+		return PartialAggregate{}, err
 	}
 
-	if _, err := io.ReadFull(r, tail); err != nil {
-		return fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
+	var tail [8]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return PartialAggregate{}, fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
 	}
 	count := binary.LittleEndian.Uint32(tail[:4])
 	payloadLen := binary.LittleEndian.Uint32(tail[4:8])
 	if count > maxFrameParams {
-		return fmt.Errorf("%w: claims %d limbs, limit %d", ErrCorruptFrame, count, maxFrameParams)
+		return PartialAggregate{}, fmt.Errorf("%w: claims %d limbs, limit %d", ErrCorruptFrame, count, maxFrameParams)
 	}
 	rawLen := int(count) * 8
 	if flags&flagGzip == 0 {
 		if int(payloadLen) != rawLen {
-			return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
+			return PartialAggregate{}, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
 		}
 	} else if int64(payloadLen) > int64(rawLen)+(64<<10) {
-		return fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
+		return PartialAggregate{}, fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
 	}
 
 	payload := getBytes(int(payloadLen))
 	defer putBytes(payload)
 	if _, err := io.ReadFull(r, *payload); err != nil {
-		return fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
+		return PartialAggregate{}, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
 	}
 	raw := *payload
 	if flags&flagGzip != 0 {
 		zr := gzipReaderPool.Get().(*gzip.Reader)
 		defer gzipReaderPool.Put(zr)
 		if err := zr.Reset(bytes.NewReader(*payload)); err != nil {
-			return fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
+			return PartialAggregate{}, fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
 		}
 		inflated := getBytes(rawLen)
 		defer putBytes(inflated)
 		if _, err := io.ReadFull(zr, *inflated); err != nil {
-			return fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
+			return PartialAggregate{}, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
 		}
 		var one [1]byte
 		if n, _ := zr.Read(one[:]); n != 0 {
-			return fmt.Errorf("%w: payload inflates past %d declared limbs", ErrCorruptFrame, count)
+			return PartialAggregate{}, fmt.Errorf("%w: payload inflates past %d declared limbs", ErrCorruptFrame, count)
 		}
 		raw = *inflated
 	}
 
-	if cap(limbs) < int(count) {
+	var limbs []uint64
+	if count > 0 {
 		limbs = make([]uint64, count)
+		for i := range limbs {
+			limbs[i] = binary.LittleEndian.Uint64(raw[i*8:])
+		}
 	}
-	limbs = limbs[:count]
-	for i := range limbs {
-		limbs[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	*pa = PartialAggregate{
+	return PartialAggregate{
 		Round: meta.Round, Tier: meta.Tier, Node: meta.Node,
 		LeafLo: meta.LeafLo, LeafHi: meta.LeafHi,
 		Survivors: meta.Survivors, Weight: meta.Weight,
@@ -255,6 +212,5 @@ func DecodePartialAggregateInto(r io.Reader, pa *PartialAggregate) error {
 			Adds: meta.Adds, Limbs: limbs, Specials: meta.Specials,
 		},
 		Trace: obs.TraceContext{TraceID: meta.TraceID, SpanID: meta.SpanID},
-	}
-	return nil
+	}, nil
 }

@@ -2,9 +2,12 @@ package fl
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"bofl/internal/core"
+	"bofl/internal/obs/ledger"
 )
 
 // flakyParticipant fails (or misses deadlines) on a schedule.
@@ -33,14 +36,14 @@ func (p *flakyParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	}, nil
 }
 
-func newDropoutServer(t *testing.T, tolerate bool) *Server {
+func newDropoutServer(t *testing.T, quorum float64) *Server {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
-		InitialParams:    []float64{1, 2, 3},
-		Jobs:             10,
-		DeadlineRatio:    2,
-		Seed:             1,
-		TolerateDropouts: tolerate,
+		InitialParams: []float64{1, 2, 3},
+		Jobs:          10,
+		DeadlineRatio: 2,
+		Seed:          1,
+		Quorum:        quorum,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +51,11 @@ func newDropoutServer(t *testing.T, tolerate bool) *Server {
 	return srv
 }
 
+// TestDropoutToleranceKeepsSurvivors: a failed participant is dropped, and a
+// deadline misser whose update arrived within the attempt timeout is folded
+// and only reported.
 func TestDropoutToleranceKeepsSurvivors(t *testing.T) {
-	srv := newDropoutServer(t, true)
+	srv := newDropoutServer(t, 0.5)
 	healthy := &flakyParticipant{id: "healthy"}
 	crasher := &flakyParticipant{id: "crasher", failRound: map[int]bool{1: true}}
 	misser := &flakyParticipant{id: "misser", missRound: map[int]bool{1: true}}
@@ -61,11 +67,12 @@ func TestDropoutToleranceKeepsSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Responses) != 1 || res.Responses[0].ClientID != "healthy" {
-		t.Errorf("responses = %+v, want only healthy", res.Responses)
+	if len(res.Responses) != 2 || res.Responses[0].ClientID != "healthy" ||
+		res.Responses[1].ClientID != "misser" || res.Responses[1].Report.DeadlineMet {
+		t.Errorf("responses = %+v, want healthy and the reported misser", res.Responses)
 	}
-	if len(res.Dropped) != 2 {
-		t.Errorf("dropped = %v, want crasher and misser", res.Dropped)
+	if len(res.Dropped) != 1 || res.Dropped[0] != "crasher" {
+		t.Errorf("dropped = %v, want crasher", res.Dropped)
 	}
 
 	// Next round everyone is healthy again and participates.
@@ -79,7 +86,7 @@ func TestDropoutToleranceKeepsSurvivors(t *testing.T) {
 }
 
 func TestDropoutAllFailedIsError(t *testing.T) {
-	srv := newDropoutServer(t, true)
+	srv := newDropoutServer(t, 0.5)
 	srv.Register(&flakyParticipant{id: "a", failRound: map[int]bool{1: true}})
 	srv.Register(&flakyParticipant{id: "b", failRound: map[int]bool{1: true}})
 	if _, err := srv.RunRound(); err == nil {
@@ -88,7 +95,7 @@ func TestDropoutAllFailedIsError(t *testing.T) {
 }
 
 func TestStrictModeAbortsOnFailure(t *testing.T) {
-	srv := newDropoutServer(t, false)
+	srv := newDropoutServer(t, 0)
 	srv.Register(&flakyParticipant{id: "a"})
 	srv.Register(&flakyParticipant{id: "b", failRound: map[int]bool{1: true}})
 	if _, err := srv.RunRound(); err == nil {
@@ -97,9 +104,9 @@ func TestStrictModeAbortsOnFailure(t *testing.T) {
 }
 
 func TestStrictModeKeepsDeadlineMissers(t *testing.T) {
-	// Without tolerance, a miss is reported but not excluded — the legacy
+	// At the zero-value quorum a miss is reported but not excluded — the
 	// behaviour relied on by the evaluation harness.
-	srv := newDropoutServer(t, false)
+	srv := newDropoutServer(t, 0)
 	srv.Register(&flakyParticipant{id: "a", missRound: map[int]bool{1: true}})
 	res, err := srv.RunRound()
 	if err != nil {
@@ -107,5 +114,103 @@ func TestStrictModeKeepsDeadlineMissers(t *testing.T) {
 	}
 	if len(res.Responses) != 1 {
 		t.Errorf("responses = %d", len(res.Responses))
+	}
+}
+
+// poisonParticipant ships a broken update: a healthy mathParticipant's
+// update passed through spoil.
+type poisonParticipant struct {
+	*mathParticipant
+	spoil func(*RoundResponse)
+}
+
+func (p *poisonParticipant) Round(req RoundRequest) (RoundResponse, error) {
+	resp, err := p.mathParticipant.Round(req)
+	if err == nil {
+		p.spoil(&resp)
+	}
+	return resp, err
+}
+
+// TestInvalidUpdateRefused is the poisoned-round probe: 10 clients, one of
+// which ships a broken update. At quorum 0.5 the round commits the batch
+// aggregate over the other 9, quarantines the sender and journals the
+// attempt as invalid; at the zero-value quorum the round aborts with an
+// ErrInvalidUpdate and the global model untouched.
+func TestInvalidUpdateRefused(t *testing.T) {
+	const n, dim, bad = 10, 2, 3
+	for _, tc := range []struct {
+		name  string
+		spoil func(*RoundResponse)
+	}{
+		{"nan-param", func(r *RoundResponse) { r.Params[0] = math.NaN() }},
+		{"inf-param", func(r *RoundResponse) { r.Params[1] = math.Inf(-1) }},
+		{"nan-aux", func(r *RoundResponse) { r.Aux = []float64{math.NaN()} }},
+		{"short", func(r *RoundResponse) { r.Params = r.Params[:1] }},
+		{"no-examples", func(r *RoundResponse) { r.NumExamples = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(quorum float64) (*Server, *ledger.Ledger, RoundResult, error) {
+				led := ledger.New(0)
+				srv := newMathServer(t, dim, quorum)
+				srv.cfg.Ledger = led
+				for i := 0; i < n; i++ {
+					mp := &mathParticipant{id: fmt.Sprintf("c%d", i), idx: i, num: 1 + i}
+					if i == bad {
+						srv.Register(&poisonParticipant{mathParticipant: mp, spoil: tc.spoil})
+					} else {
+						srv.Register(mp)
+					}
+				}
+				res, err := srv.RunRound()
+				return srv, led, res, err
+			}
+
+			srv, led, res, err := run(0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Responses) != n-1 || len(res.Dropped) != 1 || res.Dropped[0] != "c3" {
+				t.Fatalf("responses %d, dropped %v; want 9 and [c3]", len(res.Responses), res.Dropped)
+			}
+			if len(res.Quarantined) != 1 || res.Quarantined[0] != "c3" {
+				t.Fatalf("quarantined %v, want [c3]", res.Quarantined)
+			}
+			if ids := srv.QuarantinedIDs(); len(ids) != 1 || ids[0] != "c3" {
+				t.Fatalf("server quarantine %v, want [c3]", ids)
+			}
+			initial := newMathServer(t, dim, 0).GlobalParams()
+			var healthy []RoundResponse
+			for i := 0; i < n; i++ {
+				if i == bad {
+					continue
+				}
+				mp := &mathParticipant{id: fmt.Sprintf("c%d", i), idx: i, num: 1 + i}
+				healthy = append(healthy, RoundResponse{ClientID: mp.id, Params: mp.update(initial), NumExamples: mp.num})
+			}
+			want, err := BatchAggregate(FedAvg{}, initial, healthy, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitwiseEqual(t, "committed over the 9 healthy clients", srv.GlobalParams(), want)
+			verdicts := 0
+			for _, ev := range led.Events() {
+				if ev.Kind == ledger.KindAttempt && ev.Client == "c3" {
+					if ev.Verdict != ledger.VerdictInvalid || ev.EnergyJoules != 0 {
+						t.Fatalf("poisoner attempt event %+v, want verdict invalid without energy", ev)
+					}
+					verdicts++
+				}
+			}
+			if verdicts != 1 {
+				t.Fatalf("%d attempt events for the poisoner, want 1", verdicts)
+			}
+
+			srv, _, _, err = run(0)
+			if !errors.Is(err, ErrInvalidUpdate) {
+				t.Fatalf("zero-value quorum: error %v, want ErrInvalidUpdate", err)
+			}
+			bitwiseEqual(t, "aborted round's global model", srv.GlobalParams(), initial)
+		})
 	}
 }

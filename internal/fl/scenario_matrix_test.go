@@ -174,7 +174,6 @@ func runScenario(t *testing.T, spec scenarioSpec, tree bool, seed int64, rounds 
 	}
 	if spec.chaos {
 		cfg.Quorum = 0.5
-		cfg.TolerateDropouts = true
 		cfg.Clock = simclock.NewSim(time.Unix(0, 0))
 		cfg.FaultPolicy = &faultinject.Plan{
 			Seed:    seed,
@@ -347,13 +346,12 @@ func TestScenarioQuorumRenormalization(t *testing.T) {
 				{id: "q4", params: []float64{2, 0}, n: 30, steps: 6, aux: []float64{1, -1}},
 			}
 			srv, err := NewServer(ServerConfig{
-				InitialParams:    []float64{0, 0},
-				Jobs:             jobs,
-				DeadlineRatio:    2,
-				Seed:             5,
-				Quorum:           0.5,
-				TolerateDropouts: true,
-				Clock:            simclock.NewSim(time.Unix(0, 0)),
+				InitialParams: []float64{0, 0},
+				Jobs:          jobs,
+				DeadlineRatio: 2,
+				Seed:          5,
+				Quorum:        0.5,
+				Clock:         simclock.NewSim(time.Unix(0, 0)),
 				FaultPolicy: faultinject.Scripted{
 					{Layer: faultinject.LayerParticipant, Client: "q2", Round: 1}: {Drop: true},
 				},

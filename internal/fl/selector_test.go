@@ -100,7 +100,7 @@ func TestServerNeverSelectsQuarantined(t *testing.T) {
 				DeadlineRatio:        2,
 				Selector:             mk(),
 				ParticipantsPerRound: n, // ask for everyone still eligible
-				TolerateDropouts:     true,
+				Quorum:               0.5,
 				FaultPolicy:          script,
 			})
 			if err != nil {
@@ -332,7 +332,7 @@ func TestServerQuarantineWithBiasedSelector(t *testing.T) {
 		DeadlineRatio:        2,
 		Selector:             NewBiasedSelector(21, biasWeights(w)),
 		ParticipantsPerRound: n,
-		TolerateDropouts:     true,
+		Quorum:               0.5,
 		FaultPolicy:          script,
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bofl/internal/core"
-	"bofl/internal/exact"
 	"bofl/internal/faultinject"
 	"bofl/internal/obs"
 	"bofl/internal/obs/ledger"
@@ -58,6 +57,54 @@ type RoundResponse struct {
 	// Aux is the algorithm-defined auxiliary return — SCAFFOLD's
 	// control-variate delta Δc_i.
 	Aux []float64 `json:"aux,omitempty"`
+}
+
+// ErrInvalidUpdate tags an update the server refuses to fold: the wrong
+// number of parameters, a non-positive example count, a non-finite parameter
+// or auxiliary value, or one the aggregation strategy rejects. Like
+// ErrCorruptFrame it drops the sender from the round and quarantines it.
+var ErrInvalidUpdate = errors.New("fl: invalid update")
+
+// validateUpdate checks a delivered response before it may reach the fold.
+// It runs in the dispatch worker, off the turnstile.
+func validateUpdate(resp *RoundResponse, dim int) error {
+	switch {
+	case len(resp.Params) != dim:
+		return fmt.Errorf("%w: client %s returned %d params, want %d",
+			ErrInvalidUpdate, resp.ClientID, len(resp.Params), dim)
+	case resp.NumExamples <= 0:
+		return fmt.Errorf("%w: client %s reports %d examples",
+			ErrInvalidUpdate, resp.ClientID, resp.NumExamples)
+	}
+	if j := firstNonFinite(resp.Params); j >= 0 {
+		return fmt.Errorf("%w: client %s param %d is %v", ErrInvalidUpdate, resp.ClientID, j, resp.Params[j])
+	}
+	if j := firstNonFinite(resp.Aux); j >= 0 {
+		return fmt.Errorf("%w: client %s aux %d is %v", ErrInvalidUpdate, resp.ClientID, j, resp.Aux[j])
+	}
+	return nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in x, or -1.
+func firstNonFinite(x []float64) int {
+	const expMask = 0x7FF << 52
+	for j, v := range x {
+		if math.Float64bits(v)&expMask == expMask {
+			return j
+		}
+	}
+	return -1
+}
+
+// refuse stamps the delivering attempt of a refused update with the invalid
+// verdict, so the ledger says why the update was not folded, and passes err
+// through. A nil err is a no-op.
+func refuse(recs []attemptRecord, err error) error {
+	if err != nil {
+		last := &recs[len(recs)-1]
+		last.verdict, last.detail = ledger.VerdictInvalid, err.Error()
+	}
+	return err
 }
 
 // Participant abstracts a reachable FL client — in-process or across HTTP.
@@ -195,15 +242,13 @@ type ServerConfig struct {
 	ParticipantsPerRound int
 	// Seed drives deadline sampling.
 	Seed int64
-	// TolerateDropouts implements Figure 1's "drop out or miss deadline"
-	// path: failed or deadline-missing participants are excluded from the
-	// round's aggregation instead of aborting it. A round still fails when
-	// every selected participant drops.
-	TolerateDropouts bool
 	// Quorum is the fraction of selected participants whose updates must be
-	// aggregated for a round to commit: required = ⌈Quorum·n⌉. 0 keeps the
-	// legacy semantics (tolerant rounds need ≥ 1 survivor, strict rounds need
-	// all). Any positive quorum implies dropout tolerance. Must be ≤ 1.
+	// aggregated for a round to commit: required = max(1, ⌈Quorum·n⌉). The
+	// zero value means 1.0 — every selected participant must be aggregated.
+	// Whatever the quorum, a participant that fails is dropped from the
+	// round's aggregate (Figure 1's dropout path) and an update that arrives
+	// within the attempt timeout is aggregated even when it misses the
+	// deadline (the miss is reported, not excluded). Must be in [0, 1].
 	Quorum float64
 	// Retry bounds the per-participant retry loop; the zero value disables
 	// retries (single attempt, unbounded).
@@ -253,10 +298,9 @@ type Server struct {
 
 	// agg is the aggregation strategy; never nil after NewServer.
 	agg Aggregator
-	// acc is the flat-fold exact accumulator; tree is the tier spine. Each is
-	// built on first use and reused across rounds. Both span the extended
-	// fold vector: the model dims plus the strategy's statistic slots.
-	acc  *exact.Vec
+	// tree is the tier spine — a single tier for a flat round. It is built on
+	// first use and reused across rounds, and spans the extended fold vector:
+	// the model dims plus the strategy's statistic slots.
 	tree *treeFold
 	// sum is commit scratch for the rounded exact totals; contrib is the
 	// per-response contribution scratch, written and folded strictly under
@@ -306,13 +350,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		caller:      newRoundCaller(cfg.Retry, cfg.FaultPolicy, cfg.Clock),
 		quarantined: make(map[string]bool),
 	}, nil
-}
-
-// tolerant reports whether the server strips failed participants instead of
-// aborting the round. A positive round or tier quorum implies tolerance.
-func (s *Server) tolerant() bool {
-	return s.cfg.TolerateDropouts || s.cfg.Quorum > 0 ||
-		(s.cfg.Tree != nil && s.cfg.Tree.TierQuorum > 0)
 }
 
 // Quarantine excludes a client from all future selection (until cleared).
@@ -372,15 +409,16 @@ type RoundResult struct {
 	// put round memory back at O(clients × params).
 	Responses []RoundResponse    `json:"responses"`
 	Reports   []core.RoundReport `json:"-"`
-	// Dropped lists the ids of selected participants that failed or missed
-	// the deadline this round (populated in dropout-tolerant rounds). It is
-	// a superset of Stragglers and Quarantined.
+	// Dropped lists the ids of selected participants whose update is not in
+	// the aggregate: they failed, shipped a broken update, or fell inside a
+	// subtree discarded by the tier quorum. It is a superset of Stragglers
+	// and Quarantined.
 	Dropped []string `json:"dropped,omitempty"`
 	// Stragglers lists participants stripped for exceeding the attempt
 	// timeout.
 	Stragglers []string `json:"stragglers,omitempty"`
 	// Quarantined lists participants excluded this round for shipping a
-	// corrupt frame; they stay out of future selection.
+	// corrupt frame or an invalid update; they stay out of future selection.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -472,20 +510,15 @@ func (s *Server) RunRound() (RoundResult, error) {
 	if len(s.contrib) != vecDim {
 		s.contrib = make([]float64, vecDim)
 	}
-	var tree *treeFold
+	treeCfg := TreeConfig{} // a flat round: one tier, which is the root
 	if s.cfg.Tree != nil {
-		if s.tree == nil || s.tree.dim != vecDim || s.tree.cfg != *s.cfg.Tree {
-			s.tree = newTreeFold(s, *s.cfg.Tree, vecDim)
-		}
-		tree = s.tree
-		tree.reset(n, tc)
-	} else {
-		if s.acc == nil || s.acc.Dim() != vecDim {
-			s.acc = exact.NewVec(vecDim)
-		} else {
-			s.acc.Reset()
-		}
+		treeCfg = *s.cfg.Tree
 	}
+	if s.tree == nil || s.tree.dim != vecDim || s.tree.cfg != treeCfg {
+		s.tree = newTreeFold(s, treeCfg, vecDim)
+	}
+	tree := s.tree
+	tree.reset(n, tc)
 	// One Configure per round, before dispatch fans out: the strategy's
 	// request decoration (algorithm tag, μ, control variate) is
 	// round-constant, and calling it here keeps stateful strategies off the
@@ -501,18 +534,15 @@ func (s *Server) RunRound() (RoundResult, error) {
 	s.agg.Configure(&proto)
 	proto.Params = nil
 	type slot struct {
-		resp        RoundResponse   // Params stripped after folding
-		err         error           // participant Round failure
-		valErr      error           // aggregation-fatal validation failure
-		treeDropped bool            // folded, then discarded with its subtree
-		recs        []attemptRecord // per-attempt verdicts for ledger + trace graft
+		resp RoundResponse   // Params stripped after folding
+		err  error           // participant failure: the update is not folded
+		recs []attemptRecord // per-attempt verdicts for ledger + trace graft
 	}
 	slots := make([]slot, n)
 	var (
-		foldMu      sync.Mutex
-		foldCond    = sync.NewCond(&foldMu)
-		nextFold    int
-		totalWeight int64
+		foldMu   sync.Mutex
+		foldCond = sync.NewCond(&foldMu)
+		nextFold int
 	)
 	parallel.ForChunk(n, func(lo, hi int) {
 		// One params scratch per chunk: each participant gets a private
@@ -529,10 +559,22 @@ func (s *Server) RunRound() (RoundResult, error) {
 			req := proto
 			req.Params = scratch
 			resp, recs, err := s.caller.call(selected[i], req, s.sink)
+			if err == nil {
+				err = refuse(recs, validateUpdate(&resp, len(s.global)))
+			}
 
 			foldMu.Lock()
 			for nextFold != i {
 				foldCond.Wait()
+			}
+			if err == nil {
+				endFold := s.sink.Span(obs.SpanFLFold, tc.ChildLabels()...)
+				if cerr := s.agg.Contribute(s.contrib, s.global, &resp, s.cfg.Jobs); cerr != nil {
+					err = refuse(recs, fmt.Errorf("%w: client %s: %w", ErrInvalidUpdate, resp.ClientID, cerr))
+				} else {
+					tree.fold(int64(resp.NumExamples), s.contrib)
+				}
+				endFold()
 			}
 			// Ledger appends happen inside the turnstile, so attempt events
 			// land in participant index order regardless of which goroutine
@@ -557,41 +599,12 @@ func (s *Server) RunRound() (RoundResult, error) {
 			if err != nil {
 				slots[i].err = err
 			} else {
-				// In dropout-tolerant rounds a deadline miss excludes the
-				// update from aggregation; in strict rounds it is still
-				// aggregated (and only reported), matching the legacy
-				// batch behaviour.
-				if !s.tolerant() || resp.Report.DeadlineMet {
-					endFold := s.sink.Span(obs.SpanFLFold, tc.ChildLabels()...)
-					switch {
-					case len(resp.Params) != len(s.global):
-						slots[i].valErr = fmt.Errorf("fl: client %s returned %d params, want %d",
-							resp.ClientID, len(resp.Params), len(s.global))
-					case resp.NumExamples <= 0:
-						slots[i].valErr = fmt.Errorf("fl: client %s reports %d examples",
-							resp.ClientID, resp.NumExamples)
-					default:
-						w := int64(resp.NumExamples)
-						if cerr := s.agg.Contribute(s.contrib, s.global, &resp, s.cfg.Jobs); cerr != nil {
-							slots[i].valErr = cerr
-						} else if tree != nil {
-							tree.fold(w, s.contrib)
-						} else {
-							s.acc.Add(s.contrib)
-							totalWeight += w
-						}
-					}
-					endFold()
-				}
 				resp.Params, resp.Aux = nil, nil // the update now lives in the accumulator
 				slots[i].resp = resp
 			}
-			if tree != nil {
-				// Close every tier group whose span ends here — still inside
-				// the turnstile, so partial frames and their ledger entries
-				// land in canonical order.
-				tree.advance(i)
-			}
+			// Close every tier group whose span ends here — still inside the
+			// turnstile, so partial events land in canonical order.
+			tree.advance(i)
 			nextFold++
 			foldCond.Broadcast()
 			foldMu.Unlock()
@@ -599,129 +612,82 @@ func (s *Server) RunRound() (RoundResult, error) {
 	})
 	endExecute()
 
-	accVec := s.acc
-	if tree != nil {
-		if tree.err != nil {
-			return RoundResult{}, s.abortRound(tc, tree.err)
-		}
-		accVec, totalWeight = tree.root()
-		for i := range slots {
-			// A discarded subtree's weight never reached the root, so its
-			// leaves are out of the commit even though they folded.
-			slots[i].treeDropped = tree.treeDropped(i)
-		}
-	}
-
-	for i := range slots {
-		if slots[i].err != nil {
-			s.sink.Count(obs.MetricFLRoundErrors, 1)
-		}
-	}
-
+	// Figure 1's dropout path: keep the survivors, record the rest. Dropped
+	// is the catch-all list; stragglers and quarantines are additionally
+	// tagged (and, for quarantines, excluded from future selection).
 	result := RoundResult{
 		Round:     s.round,
 		Deadline:  deadline,
 		TraceID:   tc.TraceID,
 		Responses: make([]RoundResponse, 0, n),
 	}
-	if s.tolerant() {
-		// Figure 1's dropout path: keep the survivors, record the rest.
-		// Dropped stays the catch-all list; stragglers and quarantines are
-		// additionally tagged (and, for quarantines, excluded from future
-		// selection).
-		for i := range slots {
+	var firstErr error
+	for i := range slots {
+		id := selected[i].ID()
+		switch err := slots[i].err; {
+		case err != nil:
+			s.sink.Count(obs.MetricFLRoundErrors, 1)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("fl: participant %s: %w", id, err)
+			}
+			result.Dropped = append(result.Dropped, id)
 			switch {
-			case slots[i].err != nil:
-				id := selected[i].ID()
-				result.Dropped = append(result.Dropped, id)
-				switch {
-				case errors.Is(slots[i].err, ErrCorruptFrame):
-					result.Quarantined = append(result.Quarantined, id)
-					s.Quarantine(id)
-					s.sink.Event(obs.EventFLQuarantine,
-						tc.SpanLabels(obs.L("client", id))...)
-					s.ledgerAppend(ledger.Event{
-						Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id,
-					})
-				case errors.Is(slots[i].err, errStraggler):
-					result.Stragglers = append(result.Stragglers, id)
-					s.sink.Count(obs.MetricFLStragglerStrips, 1)
-				}
-			case !slots[i].resp.Report.DeadlineMet, slots[i].treeDropped:
-				result.Dropped = append(result.Dropped, slots[i].resp.ClientID)
-			default:
-				result.Responses = append(result.Responses, slots[i].resp)
+			case errors.Is(err, ErrCorruptFrame), errors.Is(err, ErrInvalidUpdate):
+				result.Quarantined = append(result.Quarantined, id)
+				s.Quarantine(id)
+				s.sink.Event(obs.EventFLQuarantine, tc.SpanLabels(obs.L("client", id))...)
+				s.ledgerAppend(ledger.Event{
+					Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id,
+				})
+			case errors.Is(err, errStraggler):
+				result.Stragglers = append(result.Stragglers, id)
+				s.sink.Count(obs.MetricFLStragglerStrips, 1)
 			}
-		}
-		// Quorum: required = ⌈Quorum·n⌉ of the *selected* participants must
-		// have been folded. With Quorum unset the legacy floor (≥ 1
-		// survivor) applies.
-		required := 1
-		if s.cfg.Quorum > 0 {
-			required = int(math.Ceil(s.cfg.Quorum * float64(n)))
-			if required < 1 {
-				required = 1
-			}
-		}
-		if len(result.Responses) == 0 {
-			return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: round %d: every participant dropped", s.round))
-		}
-		if len(result.Responses) < required {
-			return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: round %d: quorum not met: %d of %d selected reported, need %d",
-				s.round, len(result.Responses), n, required))
-		}
-		if s.cfg.Quorum > 0 && len(result.Responses) < n {
-			// The round commits below full participation: the streaming
-			// fold's deferred normalization renormalizes the weights over
-			// the survivors automatically (see DESIGN.md §8).
-			s.sink.Count(obs.MetricFLQuorumRounds, 1)
-			s.ledgerAppend(ledger.Event{
-				Kind: ledger.KindQuorum, TraceID: tc.TraceID,
-				Survivors: len(result.Responses), Selected: n,
-			})
-		}
-	} else {
-		for i := range slots {
-			if slots[i].err != nil {
-				if errors.Is(slots[i].err, ErrCorruptFrame) {
-					id := selected[i].ID()
-					s.Quarantine(id)
-					s.sink.Event(obs.EventFLQuarantine,
-						tc.SpanLabels(obs.L("client", id))...)
-					s.ledgerAppend(ledger.Event{
-						Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id,
-					})
-				}
-				return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: participant %s: %w", selected[i].ID(), slots[i].err))
-			}
-		}
-		for i := range slots {
+		case tree.treeDropped(i):
+			// A discarded subtree's weight never reached the root, so its
+			// leaves are out of the commit even though they folded.
+			result.Dropped = append(result.Dropped, id)
+		default:
 			result.Responses = append(result.Responses, slots[i].resp)
 		}
 	}
-	// Validation failures (bad length, non-positive example count) are
-	// round-fatal, exactly as the batch aggregate treated them.
-	for i := range slots {
-		if slots[i].valErr != nil {
-			return RoundResult{}, s.abortRound(tc, slots[i].valErr)
+	// Quorum: required = max(1, ⌈q·n⌉) of the *selected* participants must
+	// have been folded, with the zero value meaning q = 1.
+	q := s.cfg.Quorum
+	if q == 0 {
+		q = 1
+	}
+	required := max(1, int(math.Ceil(q*float64(n))))
+	if survivors := len(result.Responses); survivors < required {
+		err := fmt.Errorf("fl: round %d: quorum not met: %d of %d selected reported, need %d",
+			s.round, survivors, n, required)
+		if firstErr != nil {
+			err = fmt.Errorf("%w: %w", err, firstErr)
 		}
+		return RoundResult{}, s.abortRound(tc, err)
+	}
+	if len(result.Responses) < n {
+		// The round commits below full participation: the fold's deferred
+		// normalization renormalizes the weights over the survivors
+		// automatically (see DESIGN.md §8).
+		s.sink.Count(obs.MetricFLQuorumRounds, 1)
+		s.ledgerAppend(ledger.Event{
+			Kind: ledger.KindQuorum, TraceID: tc.TraceID,
+			Survivors: len(result.Responses), Selected: n,
+		})
 	}
 
 	// Report phase: commit the deferred normalization — round the exact sums
 	// to float64 once, then hand the totals (model slots plus statistic
-	// slots) to the strategy's Commit. Flat fold and tree root hold the same
-	// exact sums, so this commit is bit-identical on both paths. Nothing
+	// slots) to the strategy's Commit. Any tree shape's root holds the same
+	// exact sums, so this commit is bit-identical on every shape. Nothing
 	// before this line mutated the global model, so a failed round leaves it
 	// untouched.
 	endReport := s.sink.Span(obs.SpanFLReport, tc.ChildLabels()...)
-	if totalWeight <= 0 {
-		endReport()
-		return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: round %d: zero aggregate weight", s.round))
-	}
 	if len(s.sum) != vecDim {
 		s.sum = make([]float64, vecDim)
 	}
-	accVec.RoundTo(s.sum)
+	tree.root().RoundTo(s.sum)
 	if err := s.agg.Commit(s.global, s.sum, s.cfg.Jobs); err != nil {
 		endReport()
 		return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: round %d: %w", s.round, err))
@@ -836,38 +802,6 @@ func (s *Server) recordReports(reports []core.RoundReport, tc obs.TraceContext) 
 		s.sink.Count(obs.MetricPhaseEnergy, e, phase)
 		s.sink.Count(obs.MetricPhaseLatency, phaseLatency[ph], phase)
 	}
-}
-
-// aggregate applies FedAvg in batch: the global model becomes the
-// dataset-size weighted average of the participants' parameters. It performs
-// the same operations as RunRound's streaming fold — accumulate w·v exactly,
-// round once, divide by the integer total weight — so flat rounds, tree
-// rounds and this batch reference are all byte-identical on the same
-// response set; it is kept as the reference implementation for the
-// equivalence tests.
-func (s *Server) aggregate(responses []RoundResponse) error {
-	var totalWeight int64
-	acc := exact.NewVec(len(s.global))
-	for _, r := range responses {
-		switch {
-		case len(r.Params) != len(s.global):
-			return fmt.Errorf("fl: client %s returned %d params, want %d", r.ClientID, len(r.Params), len(s.global))
-		case r.NumExamples <= 0:
-			return fmt.Errorf("fl: client %s reports %d examples", r.ClientID, r.NumExamples)
-		}
-		acc.AddScaled(float64(r.NumExamples), r.Params)
-		totalWeight += int64(r.NumExamples)
-	}
-	if totalWeight <= 0 {
-		return errors.New("fl: zero aggregate weight")
-	}
-	sum := make([]float64, len(s.global))
-	acc.RoundTo(sum)
-	tw := float64(totalWeight)
-	for i := range s.global {
-		s.global[i] = sum[i] / tw
-	}
-	return nil
 }
 
 // Run executes `rounds` rounds and returns all results.

@@ -106,8 +106,8 @@ func TestParticipantNon2xx(t *testing.T) {
 
 // TestParticipantTimeoutMidRound hangs the round endpoint past the HTTP
 // client timeout and checks the transport error counter, then verifies the
-// server degrades gracefully with TolerateDropouts when that participant is
-// mixed with a healthy local one.
+// server degrades gracefully under a quorum when that participant is mixed
+// with a healthy local one.
 func TestParticipantTimeoutMidRound(t *testing.T) {
 	tel := obs.New(nil)
 	mux := http.NewServeMux()
@@ -129,11 +129,11 @@ func TestParticipantTimeoutMidRound(t *testing.T) {
 
 	healthy := newTestClient(t, "ok", 2)
 	srv, err := NewServer(ServerConfig{
-		InitialParams:    healthy.Params(),
-		Jobs:             4,
-		DeadlineRatio:    3,
-		Seed:             1,
-		TolerateDropouts: true,
+		InitialParams: healthy.Params(),
+		Jobs:          4,
+		DeadlineRatio: 3,
+		Seed:          1,
+		Quorum:        0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,37 +9,30 @@ package fl
 // *rightmost* group of every tier can be open at any moment. That spine is
 // the whole working set: O(depth · params) accumulator memory regardless of
 // how many leaves the round selects, and the root sum is bit-identical to
-// the flat fold for any fanout.
+// the flat fold for any fanout. A flat round is the one-tier spine whose
+// tier 0 is the root.
 //
-// Every group close serializes the child's accumulator window into a BFL1
-// partial-aggregate frame and absorbs it into the parent through the decoder
-// — the in-process tree exercises the identical wire path a distributed tier
-// deployment would, and the frame bytes are journaled per tier.
+// Every group close merges the child's limbs straight into the parent
+// (exact.Vec.AddVec): no byte leaves the process, so no frame is built. The
+// partial event still prices the transfer at the limb payload a BFL1
+// partial-aggregate frame (codec_partial.go) would carry across a process
+// edge.
 //
 // Per-tier quorum composes with the round-level machinery: a group whose
 // surviving children fall below ⌈TierQuorum · children⌉ is discarded whole
 // (KindSubtreeDrop), its leaves join the round's Dropped list, and — because
 // normalization is deferred to the root commit — the parent renormalizes
-// over the surviving siblings by doing nothing at all.
+// over the surviving siblings by doing nothing at all. The rule is CloseTier,
+// shared with the fleet simulator.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sync"
 
 	"bofl/internal/exact"
 	"bofl/internal/obs"
 	"bofl/internal/obs/ledger"
-	"bofl/internal/parallel"
 )
-
-// maxPendingCloses bounds the tier-0 close pipeline: how many group closes
-// may have their frame encode/decode in flight off the turnstile before the
-// oldest must commit. Small and fixed — the pipeline exists to overlap codec
-// work (including gzip for large windows) with the next leaves' folds, not to
-// buffer the round.
-const maxPendingCloses = 4
 
 // TreeConfig shapes the aggregation tree.
 type TreeConfig struct {
@@ -48,8 +41,8 @@ type TreeConfig struct {
 	Fanout int
 	// TierQuorum is the fraction of an aggregator's children that must
 	// deliver for the node to forward a partial: required = ⌈q·children⌉.
-	// 0 disables per-tier quorum. Any positive value implies dropout
-	// tolerance, like ServerConfig.Quorum.
+	// 0 disables per-tier quorum. Whether the round commits is decided by
+	// ServerConfig.Quorum alone.
 	TierQuorum float64
 }
 
@@ -66,6 +59,51 @@ func (c *TreeConfig) validate() error {
 	return nil
 }
 
+// TierGroup is one aggregator group at the moment it closes.
+type TierGroup struct {
+	Round, Tier, Node int
+	TraceID           string
+	// Arrived counts the children that delivered into the group; Attempted
+	// counts every child closed under it, delivered or not.
+	Arrived, Attempted int
+	// Weight is the integer example weight folded into Sum.
+	Weight int64
+	Sum    *exact.Vec
+}
+
+// CloseTier is the tier-quorum close rule of both the serving plane's tree
+// and the fleet simulator. required = ⌈q·Attempted⌉ (0 when q is 0). A group
+// below it is discarded with its whole subtree and journals a subtree_drop
+// event; a group nothing arrived in is vacuous (zero event, nothing
+// forwarded); otherwise the group forwards its sum to its parent and journals
+// a partial event priced at the window's limb payload, (hi−lo)·dim·8 bytes.
+// The caller journals ev when ev.Kind is set and merges the sum when forward.
+func CloseTier(q float64, g TierGroup) (ev ledger.Event, forward bool) {
+	required := 0
+	if q > 0 {
+		required = int(math.Ceil(q * float64(g.Attempted)))
+	}
+	switch {
+	case g.Arrived < required:
+		return ledger.Event{
+			Kind: ledger.KindSubtreeDrop, Round: g.Round, TraceID: g.TraceID,
+			Tier: g.Tier, Node: g.Node, Survivors: g.Arrived, Selected: g.Attempted,
+			Detail: fmt.Sprintf("quorum %d/%d", g.Arrived, required),
+		}, false
+	case g.Arrived == 0:
+		return ledger.Event{}, false
+	}
+	var wire int64
+	if lo, hi := g.Sum.Window(); lo < hi {
+		wire = int64(hi-lo) * int64(g.Sum.Dim()) * 8
+	}
+	return ledger.Event{
+		Kind: ledger.KindPartial, Round: g.Round, TraceID: g.TraceID,
+		Tier: g.Tier, Node: g.Node, Survivors: g.Arrived, Selected: g.Attempted,
+		Weight: g.Weight, WireTxBytes: wire,
+	}, true
+}
+
 // treeTier is one tier's live (rightmost) aggregator group.
 type treeTier struct {
 	vec       *exact.Vec
@@ -76,53 +114,20 @@ type treeTier struct {
 	node      int   // tier-local ordinal of the open group
 }
 
-// closeJob is one tier-0 group close in flight: the frame bytes produced
-// under the turnstile (the encode must stay synchronous — its ledger event's
-// byte position and wire size are part of the canonical journal), plus the
-// decode its worker runs off-thread. Jobs are ring slots reused across closes
-// and rounds, so steady-state pipelining allocates nothing.
-type closeJob struct {
-	node int
-	buf  bytes.Buffer
-	dec  PartialAggregate
-	err  error
-	wg   sync.WaitGroup
-}
-
-// run is the off-turnstile half of a tier-0 close: decoding the partial frame
-// (meta parse, gunzip, limb unpack) — the identical wire path the sync close
-// exercises. Absorbing into the parent stays on the turnstile (commitClose),
-// in enqueue order, so the fold remains canonical.
-func (j *closeJob) run() {
-	defer j.wg.Done()
-	if err := DecodePartialAggregateInto(&j.buf, &j.dec); err != nil {
-		j.err = fmt.Errorf("fl: tier 0 node %d: decode partial: %w", j.node, err)
-	}
-}
-
 // treeFold is the per-round spine. It is reused across rounds (the tier
-// accumulators are the dominant allocation) and rewound by reset.
+// accumulators are the dominant allocation) and rewound by reset. A zero
+// Fanout is the flat fold: leaves fold into tier 0, which is the root.
 type treeFold struct {
 	srv   *Server
 	cfg   TreeConfig
 	dim   int
 	tiers []*treeTier
 
-	// Tier-0 close pipeline: a FIFO ring of in-flight closeJobs. Commits
-	// happen in enqueue order, and every tier ≥ 1 close (and every subtree
-	// drop) drains the ring first, so partial frames, ledger events and
-	// parent folds land in exactly the serial order.
-	jobs    [maxPendingCloses]*closeJob
-	jobHead int
-	jobLen  int
-
 	// Per-round state.
-	n         int
-	tc        obs.TraceContext
-	dropped   [][2]int // leaf spans discarded by per-tier quorum, inclusive
-	partials  int
-	wireBytes int64
-	err       error // first wire/merge failure; aborts the round
+	n       int
+	tc      obs.TraceContext
+	top     int      // root tier: set when the group spanning all n leaves closes
+	dropped [][2]int // leaf spans discarded by per-tier quorum, inclusive
 }
 
 func newTreeFold(srv *Server, cfg TreeConfig, dim int) *treeFold {
@@ -131,10 +136,8 @@ func newTreeFold(srv *Server, cfg TreeConfig, dim int) *treeFold {
 
 // reset rewinds the spine for a new round over n selected leaves.
 func (f *treeFold) reset(n int, tc obs.TraceContext) {
-	f.drainCloses() // defensive: a completed round always leaves the ring empty
-	f.n, f.tc = n, tc
+	f.n, f.tc, f.top = n, tc, 0
 	f.dropped = f.dropped[:0]
-	f.partials, f.wireBytes, f.err = 0, 0, nil
 	for _, t := range f.tiers {
 		t.vec.Reset()
 		t.weight, t.arrived, t.attempted, t.leafLo, t.node = 0, 0, 0, 0, 0
@@ -153,8 +156,8 @@ func (f *treeFold) ensureTier(t int) *treeTier {
 // fold streams one surviving leaf contribution into the open tier-0 group.
 // contrib is the aggregator-produced vector (weighted parameters plus the
 // strategy's statistic slots, already scaled); w is the integer example
-// weight, tracked for quorum accounting and the ledger. Must be called under
-// the turnstile, in leaf index order.
+// weight, journaled with each partial. Must be called under the turnstile,
+// in leaf index order.
 func (f *treeFold) fold(w int64, contrib []float64) {
 	t0 := f.tiers[0]
 	t0.vec.Add(contrib)
@@ -164,8 +167,11 @@ func (f *treeFold) fold(w int64, contrib []float64) {
 
 // advance closes every group whose span ends at leaf i. Must be called under
 // the turnstile after leaf i's slot is settled, for every leaf — survivors
-// and dropouts alike.
+// and dropouts alike. A flat fold closes nothing.
 func (f *treeFold) advance(i int) {
+	if f.cfg.Fanout == 0 {
+		return
+	}
 	f.tiers[0].attempted++
 	span := f.cfg.Fanout
 	t := 0
@@ -173,6 +179,7 @@ func (f *treeFold) advance(i int) {
 		top := span >= f.n // this group spans the whole selection: its close fills the root
 		f.closeGroup(t, i)
 		if top {
+			f.top = t + 1
 			return
 		}
 		t++
@@ -184,85 +191,34 @@ func (f *treeFold) advance(i int) {
 	}
 }
 
-// closeGroup finalizes tier t's open group ending at leaf i: quorum-check it,
-// then either ship a partial frame into the parent or discard the subtree.
-// Tier-0 ships go through the async pipeline when the parallel pool has
-// workers to spare; every other path drains the pipeline first, so observable
-// order is always the serial one.
+// closeGroup finalizes tier t's open group ending at leaf i under CloseTier:
+// either merge it into the parent or discard the subtree.
 func (f *treeFold) closeGroup(t, i int) {
-	if t > 0 {
-		// A tier ≥ 1 close folds over its children's partials — every pending
-		// tier-0 close below it must have committed.
-		f.drainCloses()
-	}
 	tier := f.tiers[t]
 	parent := f.ensureTier(t + 1)
-	node := tier.node
 	endSpan := f.srv.sink.Span(obs.SpanFLTierFold, f.tc.ChildLabels()...)
-	defer endSpan()
-
-	required := 0
-	if f.cfg.TierQuorum > 0 {
-		required = int(math.Ceil(f.cfg.TierQuorum * float64(tier.attempted)))
-	}
-	switch {
-	case tier.arrived < required:
-		// Subtree drop: the partial never leaves this node. Deferred
-		// normalization means the parent renormalizes over its surviving
-		// children implicitly — the dropped weight simply never reaches the
-		// root divisor. (Pending closes journaled at enqueue, so no drain is
-		// needed for event order.)
+	ev, forward := CloseTier(f.cfg.TierQuorum, TierGroup{
+		Round: f.srv.round, Tier: t, Node: tier.node, TraceID: f.tc.TraceID,
+		Arrived: tier.arrived, Attempted: tier.attempted, Weight: tier.weight, Sum: tier.vec,
+	})
+	if forward {
+		// Every spine tier is built at f.dim, so the merge cannot fail.
+		_ = parent.vec.AddVec(tier.vec)
+		parent.weight += tier.weight
+		parent.arrived++
+		f.srv.sink.Count(obs.MetricFLPartials, 1)
+		f.srv.sink.Count(obs.MetricFLWireTx, float64(ev.WireTxBytes), obs.L("codec", "partial"))
+	} else if ev.Kind == ledger.KindSubtreeDrop {
+		// Deferred normalization means the parent renormalizes over its
+		// surviving children implicitly — the dropped weight simply never
+		// reaches the root divisor.
 		f.dropped = append(f.dropped, [2]int{tier.leafLo, i})
 		f.srv.sink.Count(obs.MetricFLSubtreeDrops, 1)
-		f.srv.ledgerAppend(ledger.Event{
-			Kind: ledger.KindSubtreeDrop, TraceID: f.tc.TraceID,
-			Tier: t, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
-			Detail: fmt.Sprintf("quorum %d/%d", tier.arrived, required),
-		})
-	case tier.arrived == 0:
-		// Vacuous group (every leaf below already dropped individually, no
-		// tier quorum configured): nothing to forward, nothing to journal.
-	case t == 0 && f.n > f.cfg.Fanout && parallel.Workers() > 1:
-		// Non-root tier-0 close with workers available: snapshot under the
-		// turnstile, frame off-thread, commit in enqueue order.
-		f.enqueueClose(tier, i)
-	default:
-		pa := PartialAggregate{
-			Round: f.srv.round, Tier: t, Node: node,
-			LeafLo: tier.leafLo, LeafHi: i,
-			Survivors: tier.arrived, Weight: tier.weight,
-			Sum:   tier.vec.Serialize(),
-			Trace: f.tc,
-		}
-		buf := getBuf()
-		if err := EncodePartialAggregate(buf, pa); err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: encode partial: %w", t, node, err))
-			putBuf(buf)
-			break
-		}
-		wire := int64(buf.Len())
-		dec, err := DecodePartialAggregate(buf)
-		putBuf(buf)
-		if err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: decode partial: %w", t, node, err))
-			break
-		}
-		if err := parent.vec.Absorb(dec.Sum); err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: absorb partial: %w", t, node, err))
-			break
-		}
-		parent.weight += dec.Weight
-		parent.arrived++
-		f.partials++
-		f.wireBytes += wire
-		f.srv.sink.Count(obs.MetricFLPartials, 1)
-		f.srv.sink.Count(obs.MetricFLWireTx, float64(wire), obs.L("codec", "partial"))
-		f.srv.ledgerAppend(ledger.Event{
-			Kind: ledger.KindPartial, TraceID: f.tc.TraceID,
-			Tier: t, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
-			Weight: tier.weight, WireTxBytes: wire,
-		})
 	}
+	if ev.Kind != "" {
+		f.srv.ledgerAppend(ev)
+	}
+	endSpan()
 	parent.attempted++
 	tier.vec.Reset()
 	tier.weight, tier.arrived, tier.attempted = 0, 0, 0
@@ -270,89 +226,8 @@ func (f *treeFold) closeGroup(t, i int) {
 	tier.node++
 }
 
-// enqueueClose runs the turnstile half of an async tier-0 close — serialize,
-// encode, journal, count, all byte-identical to the sync path — then hands
-// the decode to a goroutine. When the ring is full the oldest job commits
-// first, bounding in-flight memory at maxPendingCloses frames.
-func (f *treeFold) enqueueClose(tier *treeTier, i int) {
-	if f.jobLen == maxPendingCloses {
-		f.commitClose()
-	}
-	slot := (f.jobHead + f.jobLen) % maxPendingCloses
-	j := f.jobs[slot]
-	if j == nil {
-		j = &closeJob{}
-		f.jobs[slot] = j
-	}
-	node := tier.node
-	pa := PartialAggregate{
-		Round: f.srv.round, Tier: 0, Node: node,
-		LeafLo: tier.leafLo, LeafHi: i,
-		Survivors: tier.arrived, Weight: tier.weight,
-		Sum:   tier.vec.Serialize(),
-		Trace: f.tc,
-	}
-	j.buf.Reset()
-	if err := EncodePartialAggregate(&j.buf, pa); err != nil {
-		f.fail(fmt.Errorf("fl: tier 0 node %d: encode partial: %w", node, err))
-		return
-	}
-	wire := int64(j.buf.Len())
-	f.partials++
-	f.wireBytes += wire
-	f.srv.sink.Count(obs.MetricFLPartials, 1)
-	f.srv.sink.Count(obs.MetricFLWireTx, float64(wire), obs.L("codec", "partial"))
-	f.srv.ledgerAppend(ledger.Event{
-		Kind: ledger.KindPartial, TraceID: f.tc.TraceID,
-		Tier: 0, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
-		Weight: tier.weight, WireTxBytes: wire,
-	})
-	j.node = node
-	j.err = nil
-	j.wg.Add(1)
-	f.jobLen++
-	go j.run()
-}
-
-// commitClose retires the oldest in-flight close: waits for its decode and
-// absorbs the partial into tier 1 — the same fold, in enqueue order.
-func (f *treeFold) commitClose() {
-	j := f.jobs[f.jobHead]
-	f.jobHead = (f.jobHead + 1) % maxPendingCloses
-	f.jobLen--
-	j.wg.Wait()
-	if j.err != nil {
-		f.fail(j.err)
-		return
-	}
-	parent := f.ensureTier(1)
-	if err := parent.vec.Absorb(j.dec.Sum); err != nil {
-		f.fail(fmt.Errorf("fl: tier 0 node %d: absorb partial: %w", j.node, err))
-		return
-	}
-	parent.weight += j.dec.Weight
-	parent.arrived++
-}
-
-// drainCloses commits every in-flight tier-0 close, oldest first.
-func (f *treeFold) drainCloses() {
-	for f.jobLen > 0 {
-		f.commitClose()
-	}
-}
-
-func (f *treeFold) fail(err error) {
-	if f.err == nil {
-		f.err = err
-	}
-}
-
-// root returns the root accumulator and total surviving weight. Valid only
-// after advance(n-1).
-func (f *treeFold) root() (*exact.Vec, int64) {
-	top := f.tiers[len(f.tiers)-1]
-	return top.vec, top.weight
-}
+// root returns the root accumulator. Valid only after advance(n-1).
+func (f *treeFold) root() *exact.Vec { return f.tiers[f.top].vec }
 
 // treeDropped reports whether leaf i fell inside a discarded subtree.
 func (f *treeFold) treeDropped(i int) bool {

@@ -13,9 +13,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bofl/internal/exact"
+	"bofl/internal/obs"
 	"bofl/internal/obs/ledger"
 	"bofl/internal/parallel"
 )
@@ -93,7 +95,7 @@ func TestTreeMatchesFlatFold(t *testing.T) {
 func TestTreeMatchesBatchAggregate(t *testing.T) {
 	const dim, clients = 64, 50
 	srv := treeServer(t, dim, clients, &TreeConfig{Fanout: 4})
-	srv.cfg.TolerateDropouts = true
+	srv.cfg.Quorum = 0.5
 	// Rebuild responses the reference needs before the round consumes them.
 	var surviving []RoundResponse
 	global := srv.GlobalParams()
@@ -110,11 +112,11 @@ func TestTreeMatchesBatchAggregate(t *testing.T) {
 	if _, err := srv.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	ref := treeServer(t, dim, clients, nil)
-	if err := ref.aggregate(surviving); err != nil {
+	want, err := BatchAggregate(FedAvg{}, global, surviving, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "tree vs batch over survivors", srv.GlobalParams(), ref.GlobalParams())
+	bitwiseEqual(t, "tree vs batch over survivors", srv.GlobalParams(), want)
 }
 
 // TestTreePartialMergeProperty is the satellite fold-merge property test:
@@ -200,6 +202,7 @@ func TestTierQuorumSubtreeDrop(t *testing.T) {
 	led := ledger.New(0)
 	srv := treeServer(t, dim, clients, &TreeConfig{Fanout: fanout, TierQuorum: 0.5})
 	srv.cfg.Ledger = led
+	srv.cfg.Quorum = 0.5
 	// Kill 3 of 4 leaves in the third tier-0 group (leaves 8..11): 1/4 < 0.5,
 	// so the whole group must drop — including its healthy leaf 9.
 	var surviving []RoundResponse
@@ -233,11 +236,11 @@ func TestTierQuorumSubtreeDrop(t *testing.T) {
 	if !foundHealthy {
 		t.Fatalf("leaf c009 not in Dropped: %v", res.Dropped)
 	}
-	ref := treeServer(t, dim, clients, nil)
-	if err := ref.aggregate(surviving); err != nil {
+	want, err := BatchAggregate(FedAvg{}, global, surviving, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "subtree drop vs batch over survivors", srv.GlobalParams(), ref.GlobalParams())
+	bitwiseEqual(t, "subtree drop vs batch over survivors", srv.GlobalParams(), want)
 
 	drops, partials := 0, 0
 	for _, ev := range led.Events() {
@@ -249,7 +252,9 @@ func TestTierQuorumSubtreeDrop(t *testing.T) {
 			}
 		case ledger.KindPartial:
 			partials++
-			if ev.Weight <= 0 || ev.WireTxBytes <= 0 {
+			// Wire bytes price the limb window a frame would carry:
+			// (hi−lo) planes of the fold vector (dim + 1 for FedAvg).
+			if ev.Weight <= 0 || ev.WireTxBytes <= 0 || ev.WireTxBytes%(8*(dim+1)) != 0 {
 				t.Fatalf("partial event %+v", ev)
 			}
 		}
@@ -309,18 +314,22 @@ func TestPartialFrameRejectedByRoundDecoders(t *testing.T) {
 	}
 }
 
-// TestPartialAggregateRoundTrip checks frame fidelity for the full metadata
-// and an exact window carrying specials.
+// TestPartialAggregateRoundTrip pins the partial frame as the format a
+// multi-process tier would move: the full metadata survives the round trip,
+// and — over randomized accumulators — Encode → Decode → Absorb into a parent
+// leaves the parent bit-identical to merging the child in process with
+// AddVec: same limbs, window and Adds, and the same RoundTo output. The
+// accumulators cover empty, single-limb, narrow and wide windows (wide ones
+// reaching the subnormal range and the gzip payload path), mixed signs, and
+// NaN/±Inf specials with and without finite limbs.
 func TestPartialAggregateRoundTrip(t *testing.T) {
 	v := exact.NewVec(4)
 	v.AddScaled(3, []float64{1e-300, 2, -5e200, math.Inf(1)})
 	v.AddScaled(2, []float64{4, -2, 1e-10, 7})
-	want := make([]float64, 4)
-	v.RoundTo(want)
-
 	pa := PartialAggregate{
 		Round: 7, Tier: 2, Node: 5, LeafLo: 128, LeafHi: 191,
 		Survivors: 60, Weight: 12345, Sum: v.Serialize(),
+		Trace: obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "0123456789abcdef"},
 	}
 	var buf bytes.Buffer
 	if err := EncodePartialAggregate(&buf, pa); err != nil {
@@ -331,21 +340,96 @@ func TestPartialAggregateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dec.Round != 7 || dec.Tier != 2 || dec.Node != 5 || dec.LeafLo != 128 ||
-		dec.LeafHi != 191 || dec.Survivors != 60 || dec.Weight != 12345 {
+		dec.LeafHi != 191 || dec.Survivors != 60 || dec.Weight != 12345 || dec.Trace != pa.Trace {
 		t.Fatalf("meta mismatch: %+v", dec)
 	}
-	merged := exact.NewVec(4)
-	if err := merged.Absorb(dec.Sum); err != nil {
-		t.Fatal(err)
+
+	kinds := []string{"empty", "single-limb", "narrow", "wide", "specials", "specials-only"}
+	rng := rand.New(rand.NewSource(20261017))
+	for trial := 0; trial < 60; trial++ {
+		kind := kinds[trial%len(kinds)]
+		dim := 1 + rng.Intn(48)
+		if trial%12 == 3 {
+			dim = 256 // a wide window of this dim crosses the gzip threshold
+		}
+		parentKind := kinds[rng.Intn(len(kinds))]
+		childSeed, parentSeed := rng.Int63(), rng.Int63()
+		child := randomAcc(childSeed, kind, dim)
+		label := fmt.Sprintf("trial %d (%s child into %s parent, dim %d)", trial, kind, parentKind, dim)
+
+		buf.Reset()
+		pa := PartialAggregate{Round: 1, Tier: 0, Node: trial, Weight: int64(trial + 1), Sum: child.Serialize()}
+		if err := EncodePartialAggregate(&buf, pa); err != nil {
+			t.Fatalf("%s: encode: %v", label, err)
+		}
+		dec, err := DecodePartialAggregate(&buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
+		}
+		framed := randomAcc(parentSeed, parentKind, dim)
+		if err := framed.Absorb(dec.Sum); err != nil {
+			t.Fatalf("%s: absorb: %v", label, err)
+		}
+		direct := randomAcc(parentSeed, parentKind, dim)
+		if err := direct.AddVec(child); err != nil {
+			t.Fatal(err)
+		}
+
+		fs, ds := framed.Serialize(), direct.Serialize()
+		if fs.Lo != ds.Lo || fs.Hi != ds.Hi || fs.Adds != ds.Adds {
+			t.Fatalf("%s: framed window [%d,%d) adds %d, direct [%d,%d) adds %d",
+				label, fs.Lo, fs.Hi, fs.Adds, ds.Lo, ds.Hi, ds.Adds)
+		}
+		if !slices.Equal(fs.Limbs, ds.Limbs) || !bytes.Equal(fs.Specials, ds.Specials) {
+			t.Fatalf("%s: framed limbs or specials differ from direct merge", label)
+		}
+		got, want := make([]float64, dim), make([]float64, dim)
+		framed.RoundTo(got)
+		direct.RoundTo(want)
+		bitwiseEqual(t, label, got, want)
 	}
-	got := make([]float64, 4)
-	merged.RoundTo(got)
-	for j := range want {
-		gb, wb := math.Float64bits(got[j]), math.Float64bits(want[j])
-		if gb != wb && !(math.IsNaN(got[j]) && math.IsNaN(want[j])) {
-			t.Fatalf("param %d: %x != %x", j, gb, wb)
+}
+
+// randomAcc builds a seeded accumulator of the given window kind.
+func randomAcc(seed int64, kind string, dim int) *exact.Vec {
+	rng := rand.New(rand.NewSource(seed))
+	v := exact.NewVec(dim)
+	x := make([]float64, dim)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	switch kind {
+	case "empty":
+	case "single-limb":
+		// One limb plane of mixed-sign digits, as a remote tier could ship.
+		lo := rng.Intn(60)
+		s := exact.Serialized{Dim: dim, Lo: lo, Hi: lo + 1, Adds: 1 + rng.Int63n(8), Limbs: make([]uint64, dim)}
+		for i := range s.Limbs {
+			s.Limbs[i] = uint64(rng.Int63n(1<<33) - 1<<32)
+		}
+		if err := v.Absorb(s); err != nil {
+			panic(err)
+		}
+	case "specials-only":
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			clear(x)
+			x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+			v.Add(x)
+		}
+	default:
+		for k := 0; k < 1+rng.Intn(20); k++ {
+			for i := range x {
+				e := rng.Intn(8) - 4
+				if kind == "wide" {
+					e = rng.Intn(1900) - 1070 // subnormal products up to ~2^830
+				}
+				x[i] = rng.NormFloat64() * math.Ldexp(1, e)
+			}
+			if kind == "specials" {
+				x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+			}
+			v.AddScaled(float64(1+rng.Intn(100)), x)
 		}
 	}
+	return v
 }
 
 // TestTreeConfigValidation pins NewServer's tree validation.
@@ -365,47 +449,5 @@ func TestTreeConfigValidation(t *testing.T) {
 	cfg.Tree = &TreeConfig{Fanout: 2, TierQuorum: 0.5}
 	if _, err := NewServer(cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTreePipelinedClosesMatchSerial pins the async tier-0 close pipeline:
-// with pool workers available, group closes frame their partials off the
-// turnstile and commit in enqueue order, so the committed model AND the
-// ledger JSONL must be byte-identical to the single-worker serial walk —
-// with subtree drops and dropouts interleaved. Run with -race to check the
-// snapshot hand-off.
-func TestTreePipelinedClosesMatchSerial(t *testing.T) {
-	const dim, clients, fanout = 96, 61, 3 // ragged everywhere
-	run := func(workersN int) ([]float64, []byte) {
-		prevW := parallel.SetWorkers(workersN)
-		defer parallel.SetWorkers(prevW)
-		led := ledger.New(0)
-		srv := treeServer(t, dim, clients, &TreeConfig{Fanout: fanout, TierQuorum: 0.5})
-		srv.cfg.Ledger = led
-		srv.cfg.TolerateDropouts = true
-		for i, p := range srv.pool {
-			if i%9 == 2 || i%9 == 5 { // 2 of 3 leaves gone in some groups
-				p.(*mathParticipant).fail = true
-			}
-		}
-		for r := 0; r < 2; r++ {
-			if _, err := srv.RunRound(); err != nil {
-				t.Fatalf("workers=%d round %d: %v", workersN, r, err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := led.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return srv.GlobalParams(), buf.Bytes()
-	}
-	wantModel, wantJSONL := run(1)
-	for _, w := range []int{2, 4} {
-		model, jsonl := run(w)
-		bitwiseEqual(t, fmt.Sprintf("workers=%d model", w), model, wantModel)
-		if !bytes.Equal(jsonl, wantJSONL) {
-			t.Fatalf("workers=%d: ledger JSONL diverges from serial (%d vs %d bytes)",
-				w, len(jsonl), len(wantJSONL))
-		}
 	}
 }

@@ -3,8 +3,10 @@
 // (device.Population) through the hierarchical aggregation tree in *virtual*
 // time (simclock.Sim): every client's round — downlink, local training,
 // uplink — is priced from its sampled fleet profile, partial sums climb the
-// tree as BFL1 partial-aggregate frames, and the round's wall time is the
-// slowest surviving path to the root, not the machine the simulator runs on.
+// tree as direct exact merges (each priced, not performed, as the BFL1
+// partial-aggregate frame a distributed tier would ship), and the round's
+// wall time is the slowest surviving path to the root, not the machine the
+// simulator runs on.
 //
 // Memory is the point. The simulator walks the tree depth-first, so at any
 // moment exactly one aggregator per tier is open per worker: O(depth·params)
@@ -17,8 +19,8 @@
 //
 // Speed is the other point. A round is sharded at a fixed tier of the tree
 // into independent subtrees, simulated concurrently on the internal/parallel
-// pool: each worker owns a pooled spine slice, scratch arena and partial-frame
-// buffers, so the leaf fold path allocates nothing per client. The shard
+// pool: each worker owns a pooled spine slice and scratch arena, so the leaf
+// fold path allocates nothing per client. The shard
 // layout is a pure function of (Clients, Fanout) — never of the worker count —
 // and every per-shard draw is a pure function of (seed, index, round), so the
 // committed model, the stats and the ledger are byte-identical at any
@@ -34,7 +36,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -67,20 +68,6 @@ const wireOverheadBytes = 128
 // worker count. Layout depends only on (Clients, Fanout).
 const minShards = 32
 
-// updatePeriod is DefaultUpdate's combo period: scale cycles mod 7, shift
-// mod 5, weight mod 29 (pairwise coprime), so clients i and i+1015 run the
-// identical update. The fused engine exploits this by precomputing each
-// combo's exact limb decomposition once per round (exact.Decomp) and
-// replaying pure integer deltas per client — bit-identical by exactness.
-const updatePeriod = 7 * 5 * 29
-
-// Decomp-cache gates: only worth the memory (updatePeriod · dim · 12 B) when
-// each combo is replayed at least a few times and the cache stays modest.
-const (
-	decompMinClients = 4 * updatePeriod
-	decompMaxBytes   = 64 << 20
-)
-
 // UpdateFn computes client i's local update from the global model into out
 // (len(out) == len(global)) and returns its integer example count (≥ 1).
 // It MUST be a pure function of (i, global) — the simulator recomputes it at
@@ -91,20 +78,11 @@ type UpdateFn func(i int, global, out []float64) int
 // DefaultUpdate is a deterministic synthetic workload: an affine map whose
 // scale and shift vary per client, matching the in-process scale harness.
 func DefaultUpdate(i int, global, out []float64) int {
-	scale, shift, weight := defaultUpdateParams(i)
+	scale, shift := 1+float64(i%7)/8, float64(i%5)/16
 	for j, v := range global {
 		out[j] = v*scale + shift
 	}
-	return int(weight)
-}
-
-// defaultUpdateParams returns the affine coefficients and weight DefaultUpdate
-// uses for client i. The engine's fused fold path (exact.AddScaledAffine,
-// taken when Config.Update is left nil) reads the same coefficients, so the
-// two paths stay in lockstep; TestFusedDefaultUpdateMatchesGeneric pins the
-// bit-identity.
-func defaultUpdateParams(i int) (scale, shift float64, weight int64) {
-	return 1 + float64(i%7)/8, float64(i%5) / 16, int64(1 + i%29)
+	return 1 + i%29
 }
 
 // Config shapes one simulated fleet.
@@ -217,7 +195,8 @@ type RoundStats struct {
 	DeadlineMisses    int
 	SubtreeDrops      int
 	SubtreeDropLeaves int
-	// Tree traffic: partial frames shipped tier-to-tier and their bytes.
+	// Tree traffic: partials forwarded tier-to-tier and their limb payload
+	// bytes — what the partial frames would carry between processes.
 	Partials  int
 	WireBytes int64
 	// TotalWeight is the committed integer example weight.
@@ -257,16 +236,6 @@ type Engine struct {
 	depth    int // root aggregator tier; spine holds tiers 0..depth
 	deadline float64
 	hasFault bool // false when cfg.Fault is the NopPolicy: skip Decide entirely
-	// fused marks the default synthetic workload: the leaf fold runs the
-	// affine update inside the exact decomposition loop (AddScaledAffine)
-	// instead of materializing a scratch vector per client.
-	fused bool
-	// decomps, when non-nil, is the fused path's per-round decomposition
-	// cache: entry k memoizes combo k's exact limb deltas against the current
-	// global model (refreshed at the top of RunRound, then read-only across
-	// workers). FlatRound deliberately ignores it, so the oracle exercises an
-	// independent fold path.
-	decomps []exact.Decomp
 	// chaosMid caches the availability draws' hash prefix for ChaosSeed.
 	chaosMid faultinject.FleetSeedMid
 
@@ -302,7 +271,6 @@ type Engine struct {
 // New validates the config and builds an engine with a deterministic initial
 // model.
 func New(cfg Config) (*Engine, error) {
-	fused := cfg.Update == nil
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -319,11 +287,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	_, nop := cfg.Fault.(faultinject.NopPolicy)
 	e.hasFault = !nop
-	e.fused = fused
-	if fused && cfg.Clients >= decompMinClients &&
-		updatePeriod*cfg.Dim*12 <= decompMaxBytes {
-		e.decomps = make([]exact.Decomp, updatePeriod)
-	}
 	e.chaosMid = faultinject.NewFleetSeedMid(cfg.ChaosSeed)
 	for j := range e.global {
 		e.global[j] = float64(j%17)/16 + 0.5
@@ -412,19 +375,23 @@ type leafResult struct {
 	completeAt float64 // seconds after round start the update arrives
 }
 
-// nodeResult is one aggregator subtree's outcome.
+// nodeResult is one aggregator subtree's outcome. A forwarded node's sum
+// stays in its context's spine accumulator for the node's tier until the
+// parent merges it — or, for a shard the merge context fetched, in shard,
+// the shard slot's snapshot.
 type nodeResult struct {
 	ok         bool
-	sum        exact.Serialized
 	weight     int64
 	survivors  int
 	completeAt float64
+	shard      *exact.Serialized
 }
 
 // shardOut is one shard's slot in the indexed result array: its subtree
-// result (sum deep-copied out of the worker context), its stats partial and
-// its buffered ledger events. Slots are reused across rounds, so steady-state
-// shard dispatch allocates nothing.
+// result, the snapshot of its sum (taken out of the worker context, which
+// moves on to other shards), its stats partial and its buffered ledger
+// events. Slots are reused across rounds, so steady-state shard dispatch
+// allocates nothing.
 type shardOut struct {
 	res    nodeResult
 	sum    exact.Serialized
@@ -433,19 +400,15 @@ type shardOut struct {
 	err    error
 }
 
-// simCtx is one simulation walker: a spine slice, a scratch update arena and
-// pooled partial-frame codec state. Worker contexts (floor -1 … fetch nil)
-// run a whole shard subtree; the engine's single merge context intercepts
-// tier `floor` node visits and fetches the corresponding shard slot instead,
-// appending ledger events directly (`direct`) since it runs single-threaded
-// in DFS order.
+// simCtx is one simulation walker: a spine slice and a scratch update arena.
+// Worker contexts (floor -1 … fetch nil) run a whole shard subtree; the
+// engine's single merge context intercepts tier `floor` node visits and
+// fetches the corresponding shard slot instead, appending ledger events
+// directly (`direct`) since it runs single-threaded in DFS order.
 type simCtx struct {
 	e       *Engine
 	spine   []*exact.Vec // indexed by tier; merge ctx leaves ≤ floor nil
 	scratch []float64
-	buf     bytes.Buffer
-	ser     exact.Serialized
-	dec     fl.PartialAggregate
 
 	floor  int
 	fetch  func(lo int) nodeResult
@@ -578,23 +541,12 @@ func (c *simCtx) simulateNode(t, lo, hi int) nodeResult {
 			if !lr.ok {
 				continue
 			}
-			var w int64
-			if e.fused {
-				scale, shift, fw := defaultUpdateParams(clo)
-				if e.decomps != nil {
-					vec.AddDecomp(&e.decomps[clo%updatePeriod])
-				} else {
-					vec.AddScaledAffine(float64(fw), scale, shift, e.global)
-				}
-				w = fw
-			} else {
-				w = int64(e.cfg.Update(clo, e.global, c.scratch))
-				if w < 1 {
-					c.fail(fmt.Errorf("fleet: client %d returned weight %d < 1", clo, w))
-					continue
-				}
-				vec.AddScaled(float64(w), c.scratch)
+			w := int64(e.cfg.Update(clo, e.global, c.scratch))
+			if w < 1 {
+				c.fail(fmt.Errorf("fleet: client %d returned weight %d < 1", clo, w))
+				continue
 			}
+			vec.AddScaled(float64(w), c.scratch)
 			weight += w
 			arrived++
 			survivors++
@@ -614,8 +566,8 @@ func (c *simCtx) simulateNode(t, lo, hi int) nodeResult {
 		if !res.ok {
 			continue
 		}
-		if err := vec.Absorb(res.sum); err != nil {
-			c.fail(fmt.Errorf("fleet: tier %d absorb: %w", t, err))
+		if err := c.merge(vec, t-1, res); err != nil {
+			c.fail(fmt.Errorf("fleet: tier %d merge: %w", t, err))
 			continue
 		}
 		weight += res.weight
@@ -624,56 +576,38 @@ func (c *simCtx) simulateNode(t, lo, hi int) nodeResult {
 	}
 
 	node := lo / spanPow(e.cfg.Fanout, t+1, e.cfg.Clients)
-	required := 0
-	if e.cfg.TierQuorum > 0 {
-		required = int(math.Ceil(e.cfg.TierQuorum * float64(attempted)))
-	}
-	if arrived == 0 || arrived < required {
-		if required > 0 && arrived < required {
-			c.stats.SubtreeDrops++
-			c.stats.SubtreeDropLeaves += survivors
-			c.ledgerAppend(ledger.Event{
-				Kind: ledger.KindSubtreeDrop, Round: e.round, TraceID: e.tc.TraceID,
-				Tier: t, Node: node, Survivors: arrived, Selected: attempted,
-				Detail: fmt.Sprintf("quorum %d/%d", arrived, required),
-			})
-		}
-		return nodeResult{completeAt: latest}
-	}
-
-	// Ship the partial through the real wire path: the bytes a distributed
-	// tier deployment would move are the bytes we account. Serialize target,
-	// frame buffer and decode target are all pooled on the context, so a
-	// node close allocates nothing in steady state. The decoded sum aliases
-	// c.dec and is consumed (absorbed or copied) before the next close.
-	vec.SerializeInto(&c.ser)
-	pa := fl.PartialAggregate{
-		Round: e.round, Tier: t, Node: node,
-		LeafLo: lo, LeafHi: hi - 1,
-		Survivors: survivors, Weight: weight,
-		Sum: c.ser, Trace: e.tc,
-	}
-	c.buf.Reset()
-	if err := fl.EncodePartialAggregate(&c.buf, pa); err != nil {
-		c.fail(fmt.Errorf("fleet: tier %d node %d encode: %w", t, node, err))
-		return nodeResult{completeAt: latest}
-	}
-	wire := int64(c.buf.Len())
-	if err := fl.DecodePartialAggregateInto(&c.buf, &c.dec); err != nil {
-		c.fail(fmt.Errorf("fleet: tier %d node %d decode: %w", t, node, err))
-		return nodeResult{completeAt: latest}
-	}
-	c.stats.Partials++
-	c.stats.WireBytes += wire
-	c.ledgerAppend(ledger.Event{
-		Kind: ledger.KindPartial, Round: e.round, TraceID: e.tc.TraceID,
-		Tier: t, Node: node, Survivors: arrived, Selected: attempted,
-		Weight: weight, WireTxBytes: wire,
+	ev, forward := fl.CloseTier(e.cfg.TierQuorum, fl.TierGroup{
+		Round: e.round, Tier: t, Node: node, TraceID: e.tc.TraceID,
+		Arrived: arrived, Attempted: attempted, Weight: weight, Sum: vec,
 	})
+	switch ev.Kind {
+	case ledger.KindSubtreeDrop:
+		c.stats.SubtreeDrops++
+		c.stats.SubtreeDropLeaves += survivors
+	case ledger.KindPartial:
+		c.stats.Partials++
+		c.stats.WireBytes += ev.WireTxBytes
+	}
+	if ev.Kind != "" {
+		c.ledgerAppend(ev)
+	}
+	if !forward {
+		return nodeResult{completeAt: latest}
+	}
 	return nodeResult{
-		ok: true, sum: c.dec.Sum, weight: c.dec.Weight, survivors: survivors,
+		ok: true, weight: weight, survivors: survivors,
 		completeAt: latest + e.cfg.TierLatencySeconds,
 	}
+}
+
+// merge folds the forwarded tier-t node res into dst: a shard fetched by the
+// merge context arrives as its snapshot, any other node is still in this
+// context's tier-t spine accumulator.
+func (c *simCtx) merge(dst *exact.Vec, t int, res nodeResult) error {
+	if res.shard != nil {
+		return dst.Absorb(*res.shard)
+	}
+	return dst.AddVec(c.spine[t])
 }
 
 func (e *Engine) fail(err error) {
@@ -707,12 +641,10 @@ func (e *Engine) runShards() {
 		}
 		res := ctx.simulateNode(e.shardTier, lo, hi)
 		if res.ok {
-			// res.sum aliases ctx.dec; copy it into the shard's own slot so
-			// the context can move on to another shard.
-			copySerializedInto(&out.sum, res.sum)
-			res.sum = out.sum
-		} else {
-			res.sum = exact.Serialized{}
+			// Snapshot the shard's sum into its own slot so the context can
+			// move on to another shard.
+			ctx.spine[e.shardTier].SerializeInto(&out.sum)
+			res.shard = &out.sum
 		}
 		out.res = res
 		out.events = ctx.events
@@ -750,19 +682,6 @@ func (e *Engine) fetchShard(lo int) nodeResult {
 	return out.res
 }
 
-// copySerializedInto deep-copies src into dst, reusing dst.Limbs capacity.
-func copySerializedInto(dst *exact.Serialized, src exact.Serialized) {
-	limbs := dst.Limbs[:0]
-	if cap(limbs) < len(src.Limbs) {
-		limbs = make([]uint64, 0, len(src.Limbs))
-	}
-	*dst = src
-	dst.Limbs = append(limbs, src.Limbs...)
-	if src.Specials != nil {
-		dst.Specials = append([]uint8(nil), src.Specials...)
-	}
-}
-
 // RunRound simulates one virtual-time round over the whole fleet, commits the
 // new global model, and advances the virtual clock by the round's duration.
 // Shards run concurrently on the parallel pool (bounded by Config.Workers);
@@ -782,14 +701,6 @@ func (e *Engine) RunRound() (RoundStats, error) {
 		Selected: n, Deadline: e.deadline,
 	})
 
-	if e.decomps != nil {
-		// Refresh the combo cache against this round's model before the
-		// workers start: single-threaded here, read-only during the fan-out.
-		for k := range e.decomps {
-			scale, shift, w := defaultUpdateParams(k)
-			e.decomps[k].From(float64(w), scale, shift, e.global)
-		}
-	}
 	e.runShards()
 	root := e.mergeCtx.simulateNode(e.depth, 0, n)
 	if e.err != nil {
@@ -809,9 +720,9 @@ func (e *Engine) RunRound() (RoundStats, error) {
 	}
 
 	e.rootVec.Reset()
-	if err := e.rootVec.Absorb(root.sum); err != nil {
+	if err := e.mergeCtx.merge(e.rootVec, e.depth, root); err != nil {
 		e.abort(err.Error())
-		return e.stats, fmt.Errorf("fleet: round %d: root absorb: %w", e.round, err)
+		return e.stats, fmt.Errorf("fleet: round %d: root merge: %w", e.round, err)
 	}
 	e.rootVec.RoundTo(e.sum)
 	tw := float64(root.weight)
@@ -847,8 +758,8 @@ func (e *Engine) abort(detail string) {
 
 // FlatRound is the reference oracle: it simulates the *next* round's leaves
 // with draws identical to what RunRound will use, folds every survivor into a
-// single flat exact accumulator in index order — no tree, no partial frames,
-// no shards — and returns the model that fold would commit plus its total
+// single flat exact accumulator in index order — no tree, no tier merges, no
+// shards — and returns the model that fold would commit plus its total
 // weight. It does not mutate engine state. With TierQuorum 0 (no subtree
 // drops) the subsequently committed RunRound model must be bit-identical.
 func (e *Engine) FlatRound() ([]float64, int64, error) {
@@ -869,18 +780,11 @@ func (e *Engine) FlatRound() ([]float64, int64, error) {
 		if !lr.ok {
 			continue
 		}
-		var w int64
-		if e.fused {
-			scale, shift, fw := defaultUpdateParams(i)
-			acc.AddScaledAffine(float64(fw), scale, shift, e.global)
-			w = fw
-		} else {
-			w = int64(e.cfg.Update(i, e.global, ctx.scratch))
-			if w < 1 {
-				return nil, 0, fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
-			}
-			acc.AddScaled(float64(w), ctx.scratch)
+		w := int64(e.cfg.Update(i, e.global, ctx.scratch))
+		if w < 1 {
+			return nil, 0, fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
 		}
+		acc.AddScaled(float64(w), ctx.scratch)
 		weight += w
 	}
 	if weight == 0 {

@@ -63,6 +63,7 @@ const (
 	VerdictTimeout   = "timeout"
 	VerdictStraggler = "straggler"
 	VerdictCorrupt   = "corrupt"
+	VerdictInvalid   = "invalid" // delivered, refused before the fold
 	VerdictBudget    = "budget"
 	VerdictError     = "error"
 )
