@@ -97,7 +97,7 @@ func run(args []string) error {
 	}
 	if dispatch < requested {
 		fmt.Printf("dispatch width clamped %d -> %d: a depth-%d tree of fanout %d cannot fold more leaves concurrently\n",
-			requested, dispatch, treeDepth(*treeFanout, poolHint), *treeFanout)
+			requested, dispatch, fl.TreeTiers(*treeFanout, poolHint), *treeFanout)
 	}
 	parallel.SetWorkers(dispatch)
 	var policy faultinject.Policy
@@ -284,19 +284,6 @@ func orchestrate(srv *fl.Server, rounds int, out io.Writer) error {
 	return nil
 }
 
-// treeDepth is the number of aggregation tiers a fanout-ary tree needs over a
-// pool of the given size (1 when the whole pool fits under one node).
-func treeDepth(fanout, pool int) int {
-	if fanout < 2 || pool <= 0 {
-		return 0
-	}
-	depth := 1
-	for span := fanout; span < pool; span *= fanout {
-		depth++
-	}
-	return depth
-}
-
 // validateDispatch reconciles -fanout (dispatch width), -tree-fanout
 // (aggregation tree shape) and -retry-budget before any round runs, returning
 // the dispatch width to install.
@@ -327,7 +314,7 @@ func validateDispatch(workers, treeFanout int, tierQuorum float64, pool, retryBu
 		return 0, fmt.Errorf("dispatch width %d must be ≥ 1", workers)
 	}
 	if treeFanout >= 2 && pool > 0 {
-		if bound := treeFanout * treeDepth(treeFanout, pool); workers > bound {
+		if bound := treeFanout * fl.TreeTiers(treeFanout, pool); workers > bound {
 			workers = bound
 		}
 	}

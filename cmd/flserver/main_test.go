@@ -167,19 +167,6 @@ func TestValidateDispatch(t *testing.T) {
 	}
 }
 
-// TestTreeDepth pins the depth bound used for clamping.
-func TestTreeDepth(t *testing.T) {
-	cases := []struct{ fanout, pool, want int }{
-		{2, 1, 1}, {2, 2, 1}, {2, 3, 2}, {2, 8, 3},
-		{4, 64, 3}, {8, 8, 1}, {32, 10_000, 3}, {0, 10, 0},
-	}
-	for _, c := range cases {
-		if got := treeDepth(c.fanout, c.pool); got != c.want {
-			t.Errorf("treeDepth(%d, %d) = %d, want %d", c.fanout, c.pool, got, c.want)
-		}
-	}
-}
-
 // TestOrchestrateTreeRound drives a real tree-configured federation end to
 // end through the cmd-layer orchestrator.
 func TestOrchestrateTreeRound(t *testing.T) {

@@ -307,17 +307,17 @@ func firstErr(a, b error) error {
 }
 
 // readVec reads one vector section (count, payload length, payload) under
-// the given section flags, validating every declared length before any
-// allocation.
-func readVec(r io.Reader, flags byte) ([]float64, error) {
+// the given section flags, validating every declared length — count against
+// limit — before any allocation.
+func readVec(r io.Reader, flags byte, limit int) ([]float64, error) {
 	var tail [8]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
 	}
 	count := binary.LittleEndian.Uint32(tail[:4])
 	payloadLen := binary.LittleEndian.Uint32(tail[4:8])
-	if count > maxFrameParams {
-		return nil, fmt.Errorf("%w: claims %d params, limit %d", ErrCorruptFrame, count, maxFrameParams)
+	if int64(count) > int64(limit) {
+		return nil, fmt.Errorf("%w: claims %d params, limit %d", ErrCorruptFrame, count, limit)
 	}
 	elem := 8
 	if flags&flagF32 != 0 {
@@ -377,9 +377,10 @@ func readVec(r io.Reader, flags byte) ([]float64, error) {
 
 // decodeFrame reads one frame from r, unmarshals the metadata into meta and
 // returns the parameter vector plus the aux vector (nil unless the frame set
-// flagAux). Truncated, oversized or malformed frames return an error
-// wrapping ErrCorruptFrame; decodeFrame never panics on hostile input.
-func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
+// flagAux), each at most limit long. Truncated, oversized or malformed frames
+// return an error wrapping ErrCorruptFrame; decodeFrame never panics on
+// hostile input.
+func decodeFrame(r io.Reader, meta any, limit int) ([]float64, []float64, error) {
 	var hdr [9]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
@@ -404,7 +405,7 @@ func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
 		return nil, nil, fmt.Errorf("%w: decode meta: %w", ErrCorruptFrame, err)
 	}
 
-	params, err := readVec(r, flags)
+	params, err := readVec(r, flags, limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -417,7 +418,7 @@ func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
 		if ab[0]&^(flagGzip|flagF32) != 0 {
 			return nil, nil, fmt.Errorf("%w: unknown aux flags %#x", ErrCorruptFrame, ab[0])
 		}
-		if aux, err = readVec(r, ab[0]); err != nil {
+		if aux, err = readVec(r, ab[0], limit); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -438,7 +439,7 @@ func EncodeRoundRequest(w io.Writer, req RoundRequest) error {
 // against hostile values is the handler's job via TraceContext.Sanitized.
 func DecodeRoundRequest(r io.Reader) (RoundRequest, error) {
 	var meta roundRequestMeta
-	params, aux, err := decodeFrame(r, &meta)
+	params, aux, err := decodeFrame(r, &meta, maxFrameParams)
 	if err != nil {
 		return RoundRequest{}, err
 	}
@@ -459,8 +460,14 @@ func EncodeRoundResponse(w io.Writer, resp RoundResponse) error {
 
 // DecodeRoundResponse reads one binary frame from r.
 func DecodeRoundResponse(r io.Reader) (RoundResponse, error) {
+	return decodeRoundResponse(r, maxFrameParams)
+}
+
+// decodeRoundResponse reads one binary frame from r whose params and aux
+// hold at most limit values each.
+func decodeRoundResponse(r io.Reader, limit int) (RoundResponse, error) {
 	var meta roundResponseMeta
-	params, aux, err := decodeFrame(r, &meta)
+	params, aux, err := decodeFrame(r, &meta, limit)
 	if err != nil {
 		return RoundResponse{}, err
 	}

@@ -2,12 +2,17 @@ package fl
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -636,5 +641,60 @@ func TestCodecAuxJSONFallback(t *testing.T) {
 	}
 	if gotResp.Steps != resp.Steps || !paramsEqual(gotResp.Aux, resp.Aux) {
 		t.Errorf("response JSON roundtrip: %+v vs %+v", gotResp, resp)
+	}
+}
+
+// inflationBombFrame is a binary round response that claims claimed params
+// behind a gzip section of zeros: concatenated 1 MiB gzip members, which
+// inflate as one stream to claimed·8 bytes from about 1 KB each.
+func inflationBombFrame(t *testing.T, claimed int) []byte {
+	t.Helper()
+	var member bytes.Buffer
+	zw := gzip.NewWriter(&member)
+	if _, err := zw.Write(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(roundResponseMeta{ClientID: "bomb", NumExamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat(member.Bytes(), claimed*8/(1<<20))
+	var f bytes.Buffer
+	f.Write(frameMagic[:])
+	f.WriteByte(flagGzip)
+	binary.Write(&f, binary.LittleEndian, uint32(len(meta)))
+	f.Write(meta)
+	binary.Write(&f, binary.LittleEndian, uint32(claimed))
+	binary.Write(&f, binary.LittleEndian, uint32(len(payload)))
+	f.Write(payload)
+	return f.Bytes()
+}
+
+// TestRoundResponseBoundedByModel: a client that answers a 16-param round
+// with a frame claiming 2^26 params — about half a megabyte of gzip that
+// would inflate to 1 GiB — is refused as a corrupt frame before anything is
+// inflated or allocated.
+func TestRoundResponseBoundedByModel(t *testing.T) {
+	frame := inflationBombFrame(t, maxFrameParams)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		w.Write(frame)
+	}))
+	defer ts.Close()
+	p := &HTTPParticipant{baseURL: ts.URL, id: "bomb", perJob: 1, client: ts.Client(), sink: obs.Nop, binary: true}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := p.Round(RoundRequest{Round: 1, Params: make([]float64, 16), Jobs: 1})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("oversized response: err %v, want ErrCorruptFrame", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+		t.Fatalf("refusing the frame allocated %d MiB", d>>20)
 	}
 }

@@ -381,7 +381,10 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	var out RoundResponse
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary) {
 		respCodec = CodecBinary
-		out, err = DecodeRoundResponse(body)
+		// The reply is the client's update to req.Params, so neither of its
+		// vectors can be longer: a frame claiming more is refused before
+		// it inflates anything.
+		out, err = decodeRoundResponse(body, len(req.Params))
 	} else {
 		err = json.NewDecoder(body).Decode(&out)
 	}

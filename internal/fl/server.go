@@ -300,8 +300,10 @@ type Server struct {
 	agg Aggregator
 	// tree is the tier spine — a single tier for a flat round. It is built on
 	// first use and reused across rounds, and spans the extended fold vector:
-	// the model dims plus the strategy's statistic slots.
-	tree *treeFold
+	// the model dims plus the strategy's statistic slots. treeDrops lists the
+	// round's leaf spans [lo, hi) the tier quorum discarded.
+	tree      *Spine
+	treeDrops [][2]int
 	// sum is commit scratch for the rounded exact totals; contrib is the
 	// per-response contribution scratch, written and folded strictly under
 	// the turnstile.
@@ -515,10 +517,11 @@ func (s *Server) RunRound() (RoundResult, error) {
 		treeCfg = *s.cfg.Tree
 	}
 	if s.tree == nil || s.tree.dim != vecDim || s.tree.cfg != treeCfg {
-		s.tree = newTreeFold(s, treeCfg, vecDim)
+		s.tree = NewSpine(treeCfg, vecDim, 0, -1, s.closeTier)
 	}
 	tree := s.tree
-	tree.reset(n, tc)
+	tree.Reset(n, s.round, tc, s.sink)
+	s.treeDrops = s.treeDrops[:0]
 	// One Configure per round, before dispatch fans out: the strategy's
 	// request decoration (algorithm tag, μ, control variate) is
 	// round-constant, and calling it here keeps stateful strategies off the
@@ -572,7 +575,7 @@ func (s *Server) RunRound() (RoundResult, error) {
 				if cerr := s.agg.Contribute(s.contrib, s.global, &resp, s.cfg.Jobs); cerr != nil {
 					err = refuse(recs, fmt.Errorf("%w: client %s: %w", ErrInvalidUpdate, resp.ClientID, cerr))
 				} else {
-					tree.fold(int64(resp.NumExamples), s.contrib)
+					tree.Add(int64(resp.NumExamples), s.contrib)
 				}
 				endFold()
 			}
@@ -604,7 +607,7 @@ func (s *Server) RunRound() (RoundResult, error) {
 			}
 			// Close every tier group whose span ends here — still inside the
 			// turnstile, so partial events land in canonical order.
-			tree.advance(i)
+			tree.Advance(i)
 			nextFold++
 			foldCond.Broadcast()
 			foldMu.Unlock()
@@ -643,7 +646,7 @@ func (s *Server) RunRound() (RoundResult, error) {
 				result.Stragglers = append(result.Stragglers, id)
 				s.sink.Count(obs.MetricFLStragglerStrips, 1)
 			}
-		case tree.treeDropped(i):
+		case s.treeDropped(i):
 			// A discarded subtree's weight never reached the root, so its
 			// leaves are out of the commit even though they folded.
 			result.Dropped = append(result.Dropped, id)
@@ -687,7 +690,8 @@ func (s *Server) RunRound() (RoundResult, error) {
 	if len(s.sum) != vecDim {
 		s.sum = make([]float64, vecDim)
 	}
-	tree.root().RoundTo(s.sum)
+	root, _, _ := tree.Root()
+	root.RoundTo(s.sum)
 	if err := s.agg.Commit(s.global, s.sum, s.cfg.Jobs); err != nil {
 		endReport()
 		return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: round %d: %w", s.round, err))
@@ -736,6 +740,34 @@ func (s *Server) RunRound() (RoundResult, error) {
 		Survivors: len(result.Responses), Selected: n,
 	})
 	return result, nil
+}
+
+// closeTier is the server's side of a tier close: telemetry, the ledger and
+// the leaf spans a tier quorum discarded. Deferred normalization means the
+// parent of a dropped group renormalizes over its surviving children
+// implicitly — the dropped weight simply never reaches the root divisor.
+func (s *Server) closeTier(g TierGroup, ev ledger.Event) {
+	switch ev.Kind {
+	case ledger.KindPartial:
+		s.sink.Count(obs.MetricFLPartials, 1)
+		s.sink.Count(obs.MetricFLWireTx, float64(ev.WireTxBytes), obs.L("codec", "partial"))
+	case ledger.KindSubtreeDrop:
+		s.treeDrops = append(s.treeDrops, [2]int{g.Lo, g.Hi})
+		s.sink.Count(obs.MetricFLSubtreeDrops, 1)
+	}
+	if ev.Kind != "" {
+		s.ledgerAppend(ev)
+	}
+}
+
+// treeDropped reports whether leaf i fell inside a discarded subtree.
+func (s *Server) treeDropped(i int) bool {
+	for _, d := range s.treeDrops {
+		if i >= d[0] && i < d[1] {
+			return true
+		}
+	}
+	return false
 }
 
 // abortRound journals a failed round's terminal event and passes the error

@@ -12,18 +12,19 @@ package fl
 // the flat fold for any fanout. A flat round is the one-tier spine whose
 // tier 0 is the root.
 //
-// Every group close merges the child's limbs straight into the parent
-// (exact.Vec.AddVec): no byte leaves the process, so no frame is built. The
-// partial event still prices the transfer at the limb payload a BFL1
-// partial-aggregate frame (codec_partial.go) would carry across a process
-// edge.
+// Spine is the only code that folds a tree: the server drives one per round,
+// and the fleet simulator drives one per shard plus a merge spine over the
+// shard sums. Every group close merges the child's limbs straight into the
+// parent (exact.Vec.AddVec): no byte leaves the process, so no frame is
+// built. The partial event still prices the transfer at the limb payload a
+// BFL1 partial-aggregate frame (codec_partial.go) would carry across a
+// process edge.
 //
 // Per-tier quorum composes with the round-level machinery: a group whose
 // surviving children fall below ⌈TierQuorum · children⌉ is discarded whole
 // (KindSubtreeDrop), its leaves join the round's Dropped list, and — because
 // normalization is deferred to the root commit — the parent renormalizes
-// over the surviving siblings by doing nothing at all. The rule is CloseTier,
-// shared with the fleet simulator.
+// over the surviving siblings by doing nothing at all. The rule is CloseTier.
 
 import (
 	"fmt"
@@ -63,6 +64,9 @@ func (c *TreeConfig) validate() error {
 type TierGroup struct {
 	Round, Tier, Node int
 	TraceID           string
+	// Lo and Hi bound the group's leaf span [Lo, Hi); Leaves counts the
+	// surviving leaves folded under it.
+	Lo, Hi, Leaves int
 	// Arrived counts the children that delivered into the group; Attempted
 	// counts every child closed under it, delivered or not.
 	Arrived, Attempted int
@@ -71,13 +75,13 @@ type TierGroup struct {
 	Sum    *exact.Vec
 }
 
-// CloseTier is the tier-quorum close rule of both the serving plane's tree
-// and the fleet simulator. required = ⌈q·Attempted⌉ (0 when q is 0). A group
-// below it is discarded with its whole subtree and journals a subtree_drop
-// event; a group nothing arrived in is vacuous (zero event, nothing
-// forwarded); otherwise the group forwards its sum to its parent and journals
-// a partial event priced at the window's limb payload, (hi−lo)·dim·8 bytes.
-// The caller journals ev when ev.Kind is set and merges the sum when forward.
+// CloseTier is the tier-quorum close rule of every Spine. required =
+// ⌈q·Attempted⌉ (0 when q is 0). A group below it is discarded with its
+// whole subtree and journals a subtree_drop event; a group nothing arrived
+// in is vacuous (zero event, nothing forwarded); otherwise the group forwards
+// its sum to its parent and journals a partial event priced at the window's
+// limb payload, (hi−lo)·dim·8 bytes. forward is true exactly when ev is a
+// partial event.
 func CloseTier(q float64, g TierGroup) (ev ledger.Event, forward bool) {
 	required := 0
 	if q > 0 {
@@ -104,146 +108,199 @@ func CloseTier(q float64, g TierGroup) (ev ledger.Event, forward bool) {
 	}, true
 }
 
-// treeTier is one tier's live (rightmost) aggregator group.
-type treeTier struct {
+// TreeTiers returns how many tiers of groups close in a fanout-ary tree over
+// n leaves: tiers 0..TreeTiers−1, with the root one tier above the last.
+// Zero for a flat fold (fanout < 2), whose tier 0 is the root, or for n ≤ 0.
+func TreeTiers(fanout, n int) int {
+	if fanout < 2 || n <= 0 {
+		return 0
+	}
+	tiers := 1
+	for TierSpan(fanout, tiers-1, n) < n {
+		tiers++
+	}
+	return tiers
+}
+
+// TierSpan returns how many leaves one tier-t group spans in a fanout-ary
+// tree over n leaves: min(fanout^(t+1), n), saturating without overflow.
+// Tier −1 is a single leaf.
+func TierSpan(fanout, t, n int) int {
+	s := 1
+	for k := 0; k <= t; k++ {
+		if s > n/fanout {
+			return n
+		}
+		s *= fanout
+	}
+	return min(s, n)
+}
+
+// CloseFunc observes one group close and its CloseTier event. It runs after
+// a forwarded sum has merged into the parent tier; at a spine's cap tier
+// nothing merges, and g.Sum stays valid until the callback returns.
+type CloseFunc func(g TierGroup, ev ledger.Event)
+
+// spineTier is one tier's open (rightmost) group.
+type spineTier struct {
 	vec       *exact.Vec
-	weight    int64 // integer example-count weight folded so far
-	arrived   int   // children that delivered into the open group
-	attempted int   // children closed under the open group, delivered or not
-	leafLo    int   // first leaf index of the open group's span
-	node      int   // tier-local ordinal of the open group
+	weight    int64 // integer example weight folded so far
+	arrived   int   // children that delivered into the group
+	attempted int   // children closed under the group, delivered or not
+	leaves    int   // surviving leaves folded under the group
 }
 
-// treeFold is the per-round spine. It is reused across rounds (the tier
-// accumulators are the dominant allocation) and rewound by reset. A zero
-// Fanout is the flat fold: leaves fold into tier 0, which is the root.
-type treeFold struct {
-	srv   *Server
-	cfg   TreeConfig
-	dim   int
-	tiers []*treeTier
+// Spine is the streaming tier fold of an n-leaf tree, shared by the serving
+// plane and the fleet simulator. Leaf items arrive in leaf order and fold
+// into the open group of the spine's base tier; after each one, Advance
+// closes every group whose span ends there under CloseTier, merging a
+// forwarded sum into the next tier up. Group labels and spans come from the
+// global leaf index, so a spine over part of the tree (a fleet shard, capped
+// at its shard tier) journals each node exactly as one spine over the whole
+// tree would. An uncapped spine ends in the root: the tier above the last
+// closing tier, which never closes.
+type Spine struct {
+	cfg     TreeConfig
+	dim     int
+	base    int // tier leaf items fold into
+	capTier int // highest tier that closes; negative closes up to the root
+	onClose CloseFunc
+	tiers   []spineTier // tiers[k] is tier base+k
 
-	// Per-round state.
-	n       int
-	tc      obs.TraceContext
-	top     int      // root tier: set when the group spanning all n leaves closes
-	dropped [][2]int // leaf spans discarded by per-tier quorum, inclusive
+	// Per-pass state.
+	n     int
+	spans []int // spans[t] is TierSpan(Fanout, t, n) for every closing tier
+	round int
+	tc    obs.TraceContext
+	sink  obs.Sink // nil emits no fl_tier_fold spans
 }
 
-func newTreeFold(srv *Server, cfg TreeConfig, dim int) *treeFold {
-	return &treeFold{srv: srv, cfg: cfg, dim: dim}
+// NewSpine builds a spine over dim-wide sums whose leaf items fold into tier
+// base and whose groups close up to tier capTier (a negative capTier closes
+// up to the root). A zero Fanout is the flat fold: nothing closes, and tier 0 is the
+// root. onClose sees every close.
+func NewSpine(cfg TreeConfig, dim, base, capTier int, onClose CloseFunc) *Spine {
+	return &Spine{cfg: cfg, dim: dim, base: base, capTier: capTier, onClose: onClose}
 }
 
-// reset rewinds the spine for a new round over n selected leaves.
-func (f *treeFold) reset(n int, tc obs.TraceContext) {
-	f.n, f.tc, f.top = n, tc, 0
-	f.dropped = f.dropped[:0]
-	for _, t := range f.tiers {
-		t.vec.Reset()
-		t.weight, t.arrived, t.attempted, t.leafLo, t.node = 0, 0, 0, 0, 0
+// Reset rewinds the spine for a pass over an n-leaf tree in round. Closes are
+// labelled with tc's trace ID, and each one is timed as an fl_tier_fold span
+// on sink unless sink is nil.
+func (s *Spine) Reset(n, round int, tc obs.TraceContext, sink obs.Sink) {
+	s.n, s.round, s.tc, s.sink = n, round, tc, sink
+	s.spans = s.spans[:0]
+	for t, tiers := 0, TreeTiers(s.cfg.Fanout, n); t < tiers; t++ {
+		s.spans = append(s.spans, TierSpan(s.cfg.Fanout, t, n))
 	}
-	f.ensureTier(0)
-}
-
-// ensureTier returns tier t, growing the spine as needed.
-func (f *treeFold) ensureTier(t int) *treeTier {
-	for len(f.tiers) <= t {
-		f.tiers = append(f.tiers, &treeTier{vec: exact.NewVec(f.dim)})
+	last := len(s.spans) // the root tier
+	if s.capTier >= 0 && s.capTier < last {
+		last = s.capTier
 	}
-	return f.tiers[t]
-}
-
-// fold streams one surviving leaf contribution into the open tier-0 group.
-// contrib is the aggregator-produced vector (weighted parameters plus the
-// strategy's statistic slots, already scaled); w is the integer example
-// weight, journaled with each partial. Must be called under the turnstile,
-// in leaf index order.
-func (f *treeFold) fold(w int64, contrib []float64) {
-	t0 := f.tiers[0]
-	t0.vec.Add(contrib)
-	t0.weight += w
-	t0.arrived++
-}
-
-// advance closes every group whose span ends at leaf i. Must be called under
-// the turnstile after leaf i's slot is settled, for every leaf — survivors
-// and dropouts alike. A flat fold closes nothing.
-func (f *treeFold) advance(i int) {
-	if f.cfg.Fanout == 0 {
-		return
+	for len(s.tiers) <= last-s.base {
+		s.tiers = append(s.tiers, spineTier{vec: exact.NewVec(s.dim)})
 	}
-	f.tiers[0].attempted++
-	span := f.cfg.Fanout
-	t := 0
-	for (i+1)%span == 0 || i+1 == f.n {
-		top := span >= f.n // this group spans the whole selection: its close fills the root
-		f.closeGroup(t, i)
-		if top {
-			f.top = t + 1
+	for k := range s.tiers {
+		s.tiers[k].reset()
+	}
+}
+
+func (t *spineTier) reset() {
+	t.vec.Reset()
+	t.weight, t.arrived, t.attempted, t.leaves = 0, 0, 0, 0
+}
+
+// Add folds one surviving leaf whose contribution v is already weighted; w is
+// its integer example weight.
+func (s *Spine) Add(w int64, v []float64) {
+	t := &s.tiers[0]
+	t.vec.Add(v)
+	t.fold(w, 1)
+}
+
+// AddScaled folds one surviving leaf update v scaled by its weight w.
+func (s *Spine) AddScaled(w int64, v []float64) {
+	t := &s.tiers[0]
+	t.vec.AddScaled(float64(w), v)
+	t.fold(w, 1)
+}
+
+// Absorb folds an already-closed child subtree: the snapshot of its sum, its
+// weight and its surviving leaf count.
+func (s *Spine) Absorb(sum exact.Serialized, w int64, leaves int) error {
+	t := &s.tiers[0]
+	if err := t.vec.Absorb(sum); err != nil {
+		return err
+	}
+	t.fold(w, leaves)
+	return nil
+}
+
+func (t *spineTier) fold(w int64, leaves int) {
+	t.weight += w
+	t.arrived++
+	t.leaves += leaves
+}
+
+// Advance settles the leaf item ending at leaf i and closes every group whose
+// span ends there, tier by tier, up to the root or the cap. Call it once per
+// leaf item in leaf order, delivered or not.
+func (s *Spine) Advance(i int) {
+	s.tiers[0].attempted++
+	for t := s.base; t < len(s.spans); t++ {
+		span := s.spans[t]
+		if (i+1)%span != 0 && i+1 != s.n {
 			return
 		}
-		t++
-		if span > f.n/f.cfg.Fanout {
-			span = f.n // saturates: only the i+1 == n close remains above here
-		} else {
-			span *= f.cfg.Fanout
+		s.close(t, i, span)
+		if t == s.capTier {
+			return
 		}
 	}
 }
 
-// closeGroup finalizes tier t's open group ending at leaf i under CloseTier:
-// either merge it into the parent or discard the subtree.
-func (f *treeFold) closeGroup(t, i int) {
-	tier := f.tiers[t]
-	parent := f.ensureTier(t + 1)
-	endSpan := f.srv.sink.Span(obs.SpanFLTierFold, f.tc.ChildLabels()...)
-	ev, forward := CloseTier(f.cfg.TierQuorum, TierGroup{
-		Round: f.srv.round, Tier: t, Node: tier.node, TraceID: f.tc.TraceID,
-		Arrived: tier.arrived, Attempted: tier.attempted, Weight: tier.weight, Sum: tier.vec,
-	})
-	if forward {
-		// Every spine tier is built at f.dim, so the merge cannot fail.
-		_ = parent.vec.AddVec(tier.vec)
-		parent.weight += tier.weight
-		parent.arrived++
-		f.srv.sink.Count(obs.MetricFLPartials, 1)
-		f.srv.sink.Count(obs.MetricFLWireTx, float64(ev.WireTxBytes), obs.L("codec", "partial"))
-	} else if ev.Kind == ledger.KindSubtreeDrop {
-		// Deferred normalization means the parent renormalizes over its
-		// surviving children implicitly — the dropped weight simply never
-		// reaches the root divisor.
-		f.dropped = append(f.dropped, [2]int{tier.leafLo, i})
-		f.srv.sink.Count(obs.MetricFLSubtreeDrops, 1)
+// close finalizes tier t's open group, which ends at leaf i, under CloseTier.
+func (s *Spine) close(t, i, span int) {
+	var endSpan func()
+	if s.sink != nil {
+		endSpan = s.sink.Span(obs.SpanFLTierFold, s.tc.ChildLabels()...)
 	}
-	if ev.Kind != "" {
-		f.srv.ledgerAppend(ev)
+	k := t - s.base
+	g := &s.tiers[k]
+	node := i / span
+	grp := TierGroup{
+		Round: s.round, Tier: t, Node: node, TraceID: s.tc.TraceID,
+		Lo: node * span, Hi: i + 1, Leaves: g.leaves,
+		Arrived: g.arrived, Attempted: g.attempted, Weight: g.weight, Sum: g.vec,
 	}
-	endSpan()
-	parent.attempted++
-	tier.vec.Reset()
-	tier.weight, tier.arrived, tier.attempted = 0, 0, 0
-	tier.leafLo = i + 1
-	tier.node++
-}
-
-// root returns the root accumulator. Valid only after advance(n-1).
-func (f *treeFold) root() *exact.Vec { return f.tiers[f.top].vec }
-
-// treeDropped reports whether leaf i fell inside a discarded subtree.
-func (f *treeFold) treeDropped(i int) bool {
-	for _, s := range f.dropped {
-		if i >= s[0] && i <= s[1] {
-			return true
+	ev, forward := CloseTier(s.cfg.TierQuorum, grp)
+	if t != s.capTier {
+		p := &s.tiers[k+1]
+		if forward {
+			// Every spine tier is built at s.dim, so the merge cannot fail.
+			_ = p.vec.AddVec(g.vec)
+			p.fold(g.weight, g.leaves)
 		}
+		p.attempted++
 	}
-	return false
+	s.onClose(grp, ev)
+	if endSpan != nil {
+		endSpan()
+	}
+	g.reset()
 }
 
-// MemoryBytes reports the spine's accumulator footprint — O(depth · params),
-// the bound the fleet simulator's per-node accounting checks.
-func (f *treeFold) MemoryBytes() int64 {
+// Root returns the root's sum, integer weight and surviving leaf count. Valid
+// on an uncapped spine after the pass's last Advance.
+func (s *Spine) Root() (sum *exact.Vec, weight int64, leaves int) {
+	r := &s.tiers[len(s.spans)-s.base]
+	return r.vec, r.weight, r.leaves
+}
+
+// MemoryBytes reports the spine's accumulator footprint: O(depth · dim),
+// however many leaves pass through it.
+func (s *Spine) MemoryBytes() int64 {
 	var total int64
-	for _, t := range f.tiers {
+	for _, t := range s.tiers {
 		total += t.vec.MemoryBytes()
 	}
 	return total

@@ -288,6 +288,151 @@ func TestTreeSpineMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestTierSpan checks the saturating power helper the tree layout hangs on:
+// a tier-(exp−1) group spans min(fanout^exp, n) leaves.
+func TestTierSpan(t *testing.T) {
+	cases := []struct{ fanout, exp, n, want int }{
+		{2, 0, 100, 1}, {2, 3, 100, 8}, {2, 10, 100, 100},
+		{64, 2, 1_000_000, 4096}, {64, 4, 1_000_000, 1_000_000},
+		{3, 40, 1 << 30, 1 << 30}, // would overflow without saturation
+	}
+	for _, c := range cases {
+		if got := TierSpan(c.fanout, c.exp-1, c.n); got != c.want {
+			t.Fatalf("TierSpan(%d,%d,%d) = %d, want %d", c.fanout, c.exp-1, c.n, got, c.want)
+		}
+	}
+}
+
+// TestTreeTiers pins the closing-tier count the dispatch clamp and the fleet
+// depth derive from.
+func TestTreeTiers(t *testing.T) {
+	cases := []struct{ fanout, pool, want int }{
+		{2, 1, 1}, {2, 2, 1}, {2, 3, 2}, {2, 8, 3},
+		{4, 64, 3}, {8, 8, 1}, {32, 10_000, 3}, {0, 10, 0},
+	}
+	for _, c := range cases {
+		if got := TreeTiers(c.fanout, c.pool); got != c.want {
+			t.Errorf("TreeTiers(%d, %d) = %d, want %d", c.fanout, c.pool, got, c.want)
+		}
+	}
+}
+
+// spineClose is one recorded close: the group minus its sum, and its event.
+type spineClose struct {
+	g  TierGroup
+	ev ledger.Event
+}
+
+// TestShardedSpineMatchesOneSpine pins the fleet's composition of the one
+// fold: capped shard spines whose cap close snapshots the group's sum into a
+// slot, then a merge spine whose leaf items are those snapshots in index
+// order, must close the same groups with the same events as one spine over
+// all n leaves, and end in the same root bits, weight and survivor count.
+// Shards run in a shuffled order, as pool scheduling would run them. The
+// layouts cover every cap tier, including the single-shard one whose shard
+// output is the root.
+func TestShardedSpineMatchesOneSpine(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260807))
+	const dim = 7
+	tc := obs.MintTrace(1, 1)
+	record := func(to *[]spineClose) CloseFunc {
+		return func(g TierGroup, ev ledger.Event) {
+			g.Sum = nil
+			*to = append(*to, spineClose{g, ev})
+		}
+	}
+	for _, fanout := range []int{2, 3, 8} {
+		// 1, F−1, F, F²+1 and a ragged 3-tier size.
+		for _, n := range []int{1, fanout - 1, fanout, fanout*fanout + 1, fanout*fanout*fanout - 1} {
+			if n < 1 {
+				continue
+			}
+			for _, q := range []float64{0, 0.5, 1} {
+				cfg := TreeConfig{Fanout: fanout, TierQuorum: q}
+				alive := rng.Float64()
+				updates := make([][]float64, n)
+				weights := make([]int64, n)
+				for i := range updates {
+					if rng.Float64() >= alive {
+						continue // lost leaf
+					}
+					updates[i] = make([]float64, dim)
+					for j := range updates[i] {
+						updates[i][j] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20)
+					}
+					weights[i] = int64(1 + rng.Intn(50))
+				}
+				leaf := func(sp *Spine, i int) {
+					if updates[i] != nil {
+						sp.AddScaled(weights[i], updates[i])
+					}
+					sp.Advance(i)
+				}
+
+				var want []spineClose
+				one := NewSpine(cfg, dim, 0, -1, record(&want))
+				one.Reset(n, 1, tc, nil)
+				for i := 0; i < n; i++ {
+					leaf(one, i)
+				}
+				wantVec, wantW, wantLeaves := one.Root()
+				wantSum := make([]float64, dim)
+				wantVec.RoundTo(wantSum)
+
+				for capTier := 0; capTier < TreeTiers(fanout, n); capTier++ {
+					label := fmt.Sprintf("fanout %d n %d q %v capTier %d", fanout, n, q, capTier)
+					span := TierSpan(fanout, capTier, n)
+					type slot struct {
+						ok     bool
+						weight int64
+						leaves int
+						sum    exact.Serialized
+						closes []spineClose
+					}
+					slots := make([]slot, (n+span-1)/span)
+					var cur *slot
+					shard := NewSpine(cfg, dim, 0, capTier, func(g TierGroup, ev ledger.Event) {
+						if g.Tier == capTier {
+							cur.ok, cur.weight, cur.leaves = ev.Kind == ledger.KindPartial, g.Weight, g.Leaves
+							g.Sum.SerializeInto(&cur.sum)
+						}
+						record(&cur.closes)(g, ev)
+					})
+					for _, s := range rng.Perm(len(slots)) {
+						cur = &slots[s]
+						shard.Reset(n, 1, tc, nil)
+						for i := s * span; i < min((s+1)*span, n); i++ {
+							leaf(shard, i)
+						}
+					}
+					var got []spineClose
+					merge := NewSpine(cfg, dim, capTier+1, -1, record(&got))
+					merge.Reset(n, 1, tc, nil)
+					for s := range slots {
+						got = append(got, slots[s].closes...)
+						if slots[s].ok {
+							if err := merge.Absorb(slots[s].sum, slots[s].weight, slots[s].leaves); err != nil {
+								t.Fatalf("%s: absorb shard %d: %v", label, s, err)
+							}
+						}
+						merge.Advance(min((s+1)*span, n) - 1)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: close events diverge:\n got %+v\nwant %+v", label, got, want)
+					}
+					gotVec, gotW, gotLeaves := merge.Root()
+					gotSum := make([]float64, dim)
+					gotVec.RoundTo(gotSum)
+					if gotW != wantW || gotLeaves != wantLeaves {
+						t.Fatalf("%s: root weight %d leaves %d, want %d, %d", label, gotW, gotLeaves, wantW, wantLeaves)
+					}
+					bitwiseEqual(t, label, gotSum, wantSum)
+				}
+			}
+		}
+	}
+}
+
 // TestPartialFrameRejectedByRoundDecoders pins the codec boundary: a partial
 // frame must be ErrCorruptFrame to both round decoders, and a round frame
 // must be rejected by the partial decoder.

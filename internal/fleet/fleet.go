@@ -8,31 +8,34 @@
 // wall time is the slowest surviving path to the root, not the machine the
 // simulator runs on.
 //
-// Memory is the point. The simulator walks the tree depth-first, so at any
-// moment exactly one aggregator per tier is open per worker: O(depth·params)
-// accumulator state plus one scratch update vector, regardless of fleet size.
-// No slice anywhere is proportional to the number of clients — a client's
-// spec, availability and update are all recomputed on demand as pure
-// functions of (seed, index, round), the same order-independent hash
+// Memory is the point. The simulator folds the tree on the serving plane's
+// streaming spine (fl.Spine): leaves arrive in index order, so at any moment
+// exactly one aggregator per tier is open per spine — O(depth·params)
+// accumulator state plus one scratch update vector, regardless of fleet
+// size. No slice anywhere is proportional to the number of clients — a
+// client's spec, availability and update are all recomputed on demand as
+// pure functions of (seed, index, round), the same order-independent hash
 // construction the chaos plane uses (Falafels-style discrete events over a
 // BouquetFL-style heterogeneous population).
 //
 // Speed is the other point. A round is sharded at a fixed tier of the tree
 // into independent subtrees, simulated concurrently on the internal/parallel
-// pool: each worker owns a pooled spine slice and scratch arena, so the leaf
-// fold path allocates nothing per client. The shard
-// layout is a pure function of (Clients, Fanout) — never of the worker count —
-// and every per-shard draw is a pure function of (seed, index, round), so the
-// committed model, the stats and the ledger are byte-identical at any
-// GOMAXPROCS or -workers setting. Shard results merge through a single-
-// threaded sequencer that replays buffered per-shard ledger events in DFS
-// order, which keeps the journal byte-identical to the serial walk too.
+// pool: each worker owns a pooled spine, capped at the shard tier, and a
+// scratch arena, so the leaf fold path allocates nothing per client. The
+// shard layout is a pure function of (Clients, Fanout) — never of the worker
+// count — and every per-shard draw is a pure function of (seed, index,
+// round), so the committed model, the stats and the ledger are byte-identical
+// at any GOMAXPROCS or -workers setting. Once every shard is done, a
+// single-threaded sequencer takes the shard slots in index order: it replays
+// each one's buffered ledger events and folds its sum into a merge spine over
+// the tiers above the shard tier, so the journal is byte-identical to one
+// spine over the whole fleet.
 //
 // Because the fold arithmetic is exact (internal/exact), arrival order is
-// immaterial: folding children in index order as the DFS visits them is
-// bit-identical to folding them in completion-time order, and the committed
-// root model is bit-identical to a flat fold over the same survivors — the
-// property FlatRound exposes and the tests enforce.
+// immaterial: folding children in index order is bit-identical to folding
+// them in completion-time order, and the committed root model is
+// bit-identical to a flat fold over the same survivors — the property
+// FlatRound exposes and the tests enforce.
 package fleet
 
 import (
@@ -233,7 +236,7 @@ func (s *RoundStats) accumulate(o *RoundStats) {
 // RunRound at a time; the engine parallelizes internally).
 type Engine struct {
 	cfg      Config
-	depth    int // root aggregator tier; spine holds tiers 0..depth
+	depth    int // top closing tier; the root sits one tier above it
 	deadline float64
 	hasFault bool // false when cfg.Fault is the NopPolicy: skip Decide entirely
 	// chaosMid caches the availability draws' hash prefix for ChaosSeed.
@@ -242,8 +245,6 @@ type Engine struct {
 	global []float64
 	sum    []float64
 
-	rootVec *exact.Vec
-
 	// Shard layout — a pure function of (Clients, Fanout). Tier shardTier
 	// subtrees (shardSpan leaves each) are the unit of parallel work.
 	shardTier int
@@ -251,12 +252,13 @@ type Engine struct {
 	numShards int
 	shardOuts []shardOut
 
-	// mergeCtx walks tiers shardTier+1..depth single-threaded, fetching
-	// shard results in index order; worker contexts (pooled in ctxFree) walk
-	// tiers 0..shardTier inside one shard.
-	mergeCtx *simCtx
-	ctxMu    sync.Mutex
-	ctxFree  []*simCtx
+	// merge drives the merge spine: its leaf items are the shard sums in
+	// index order, its tiers shardTier+1..depth plus the root. Worker
+	// contexts (pooled in ctxFree) each drive a spine over one shard's
+	// leaves, capped at shardTier.
+	merge   *simCtx
+	ctxMu   sync.Mutex
+	ctxFree []*simCtx
 
 	// shardRunner overrides shard dispatch; tests inject seeded permutations
 	// of shard completion order here. nil dispatches on the parallel pool.
@@ -274,16 +276,12 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	depth := 0
-	for spanPow(cfg.Fanout, depth+1, cfg.Clients) < cfg.Clients {
-		depth++
-	}
+	n := cfg.Clients
 	e := &Engine{
-		cfg:     cfg,
-		depth:   depth,
-		global:  make([]float64, cfg.Dim),
-		sum:     make([]float64, cfg.Dim),
-		rootVec: exact.NewVec(cfg.Dim),
+		cfg:    cfg,
+		depth:  fl.TreeTiers(cfg.Fanout, n) - 1,
+		global: make([]float64, cfg.Dim),
+		sum:    make([]float64, cfg.Dim),
 	}
 	_, nop := cfg.Fault.(faultinject.NopPolicy)
 	e.hasFault = !nop
@@ -296,35 +294,26 @@ func New(cfg Config) (*Engine, error) {
 		e.deadline = cfg.DeadlineRatio * float64(cfg.Jobs) * cfg.Population.SlowestSecPerJob()
 	}
 
-	// Shard at the highest tier with at least minShards subtrees, falling
-	// back to tier 0 (≥ 2 nodes whenever depth ≥ 1). Workers never enter
-	// this choice: the same fleet always shards the same way.
-	e.shardTier = 0
-	if depth > 0 {
-		for t := depth - 1; t > 0; t-- {
-			span := spanPow(cfg.Fanout, t+1, cfg.Clients)
-			if (cfg.Clients+span-1)/span >= minShards {
-				e.shardTier = t
-				break
-			}
+	// Shard at the highest tier below the top with at least minShards
+	// subtrees, falling back to tier 0 (≥ 2 nodes whenever depth ≥ 1).
+	// Workers never enter this choice: the same fleet always shards the same
+	// way.
+	for t := e.depth - 1; t > 0; t-- {
+		if span := fl.TierSpan(cfg.Fanout, t, n); (n+span-1)/span >= minShards {
+			e.shardTier = t
+			break
 		}
 	}
-	e.shardSpan = spanPow(cfg.Fanout, e.shardTier+1, cfg.Clients)
-	e.numShards = (cfg.Clients + e.shardSpan - 1) / e.shardSpan
+	e.shardSpan = fl.TierSpan(cfg.Fanout, e.shardTier, n)
+	e.numShards = (n + e.shardSpan - 1) / e.shardSpan
 	e.shardOuts = make([]shardOut, e.numShards)
-
-	e.mergeCtx = &simCtx{
-		e: e, floor: e.shardTier, fetch: e.fetchShard,
-		direct: true, stats: &e.stats,
-		spine: make([]*exact.Vec, depth+1),
-	}
-	for t := e.shardTier + 1; t <= depth; t++ {
-		e.mergeCtx.spine[t] = exact.NewVec(cfg.Dim)
-	}
+	e.merge = e.newCtx(e.shardTier+1, -1)
+	e.merge.stats = &e.stats
 	return e, nil
 }
 
-// Depth returns the root aggregator tier (leaves fold into tier 0).
+// Depth returns the top closing tier (leaves fold into tier 0; the root sits
+// one tier above Depth).
 func (e *Engine) Depth() int { return e.depth }
 
 // Deadline returns the per-client round deadline in seconds.
@@ -346,27 +335,12 @@ func (e *Engine) SetGlobal(g []float64) error {
 	return nil
 }
 
-// SpineBytes reports one full spine's accumulator working set: the worker
-// tiers 0..shardTier, the merge tiers shardTier+1..depth and the root — the
-// quantity that must stay O(depth · params). See RoundStats.SpineBytes for
-// how per-worker copies scale.
+// SpineBytes reports one full spine's accumulator working set: a worker
+// spine's tiers 0..shardTier plus the merge spine's tiers shardTier+1..depth
+// and the root — the quantity that must stay O(depth · params). See
+// RoundStats.SpineBytes for how per-worker copies scale.
 func (e *Engine) SpineBytes() int64 {
 	return exact.VecBytes(e.cfg.Dim) * int64(e.depth+2)
-}
-
-// spanPow returns min(fanout^exp, n) without overflow.
-func spanPow(fanout, exp, n int) int {
-	s := 1
-	for k := 0; k < exp; k++ {
-		if s > n/fanout {
-			return n
-		}
-		s *= fanout
-	}
-	if s > n {
-		return n
-	}
-	return s
 }
 
 // leafResult is one simulated client's round outcome.
@@ -375,62 +349,42 @@ type leafResult struct {
 	completeAt float64 // seconds after round start the update arrives
 }
 
-// nodeResult is one aggregator subtree's outcome. A forwarded node's sum
-// stays in its context's spine accumulator for the node's tier until the
-// parent merges it — or, for a shard the merge context fetched, in shard,
-// the shard slot's snapshot.
-type nodeResult struct {
-	ok         bool
-	weight     int64
-	survivors  int
-	completeAt float64
-	shard      *exact.Serialized
-}
-
-// shardOut is one shard's slot in the indexed result array: its subtree
-// result, the snapshot of its sum (taken out of the worker context, which
-// moves on to other shards), its stats partial and its buffered ledger
-// events. Slots are reused across rounds, so steady-state shard dispatch
-// allocates nothing.
+// shardOut is one shard's slot in the indexed result array: the outcome of
+// its cap close (the shard tier's group), the snapshot of its sum (taken out
+// of the worker spine, which moves on to other shards), its stats partial
+// and its buffered ledger events. Slots are reused across rounds, so
+// steady-state shard dispatch allocates nothing.
 type shardOut struct {
-	res    nodeResult
-	sum    exact.Serialized
-	stats  RoundStats
-	events []ledger.Event
-	err    error
+	ok         bool // the shard's group forwarded its sum
+	weight     int64
+	leaves     int
+	completeAt float64
+	sum        exact.Serialized
+	stats      RoundStats
+	events     []ledger.Event
+	err        error
 }
 
-// simCtx is one simulation walker: a spine slice and a scratch update arena.
-// Worker contexts (floor -1 … fetch nil) run a whole shard subtree; the
-// engine's single merge context intercepts tier `floor` node visits and
-// fetches the corresponding shard slot instead, appending ledger events
-// directly (`direct`) since it runs single-threaded in DFS order.
+// simCtx is one spine plus the fleet's side of its closes: the per-tier
+// latest arrival, the stats the closes update and where their events go. A
+// worker context (out set) covers one shard at a time and buffers its events
+// in the shard slot; the merge context journals directly, since it runs
+// single-threaded in leaf order.
 type simCtx struct {
 	e       *Engine
-	spine   []*exact.Vec // indexed by tier; merge ctx leaves ≤ floor nil
-	scratch []float64
-
-	floor  int
-	fetch  func(lo int) nodeResult
-	direct bool
-
-	stats  *RoundStats
-	events []ledger.Event
-	err    error
+	spine   *fl.Spine
+	latest  []float64 // latest arrival per tier, seconds after round start
+	scratch []float64 // worker update arena
+	stats   *RoundStats
+	out     *shardOut
 }
 
-// newWorkerCtx builds a context able to simulate one shard (tiers
-// 0..shardTier plus leaves).
-func (e *Engine) newWorkerCtx() *simCtx {
-	c := &simCtx{
-		e:       e,
-		spine:   make([]*exact.Vec, e.shardTier+1),
-		scratch: make([]float64, e.cfg.Dim),
-		floor:   -1,
-	}
-	for t := range c.spine {
-		c.spine[t] = exact.NewVec(e.cfg.Dim)
-	}
+// newCtx builds a context whose spine folds leaf items into tier base and
+// closes up to tier capTier (negative: up to the root).
+func (e *Engine) newCtx(base, capTier int) *simCtx {
+	c := &simCtx{e: e, latest: make([]float64, e.depth+2)}
+	c.spine = fl.NewSpine(fl.TreeConfig{Fanout: e.cfg.Fanout, TierQuorum: e.cfg.TierQuorum},
+		e.cfg.Dim, base, capTier, c.close)
 	return c
 }
 
@@ -443,7 +397,9 @@ func (e *Engine) getCtx() *simCtx {
 		return c
 	}
 	e.ctxMu.Unlock()
-	return e.newWorkerCtx()
+	c := e.newCtx(0, e.shardTier)
+	c.scratch = make([]float64, e.cfg.Dim)
+	return c
 }
 
 func (e *Engine) putCtx(c *simCtx) {
@@ -452,35 +408,47 @@ func (e *Engine) putCtx(c *simCtx) {
 	e.ctxMu.Unlock()
 }
 
-func (c *simCtx) fail(err error) {
-	if c.direct {
-		c.e.fail(err)
-	} else if c.err == nil {
-		c.err = err
+// close is the fleet's side of a group close: loss and traffic stats, the
+// ledger, and the group's arrival time, which a forwarded group hands its
+// parent one tier hop later. A worker's cap close fills the shard slot
+// instead of a parent tier.
+func (c *simCtx) close(g fl.TierGroup, ev ledger.Event) {
+	switch ev.Kind {
+	case ledger.KindSubtreeDrop:
+		c.stats.SubtreeDrops++
+		c.stats.SubtreeDropLeaves += g.Leaves
+	case ledger.KindPartial:
+		c.stats.Partials++
+		c.stats.WireBytes += ev.WireTxBytes
 	}
-}
-
-// ledgerAppend journals ev: directly for the merge context (it already runs
-// in canonical DFS order), buffered for worker contexts — the merge phase
-// replays shard buffers in shard index order, so the journal is byte-
-// identical to the serial walk at any worker count.
-func (c *simCtx) ledgerAppend(ev ledger.Event) {
-	if c.e.cfg.Ledger == nil {
+	forward := ev.Kind == ledger.KindPartial
+	at := c.latest[g.Tier]
+	c.latest[g.Tier] = 0
+	if forward {
+		at += c.e.cfg.TierLatencySeconds
+	}
+	out := c.out
+	if out == nil {
+		c.e.ledgerAppend(ev)
+	} else if ev.Kind != "" && c.e.cfg.Ledger != nil {
+		out.events = append(out.events, ev)
+	}
+	if out == nil || g.Tier != c.e.shardTier {
+		c.latest[g.Tier+1] = max(c.latest[g.Tier+1], at)
 		return
 	}
-	if c.direct {
-		c.e.cfg.Ledger.Append(ev)
-	} else {
-		c.events = append(c.events, ev)
+	out.ok, out.weight, out.leaves, out.completeAt = forward, g.Weight, g.Leaves, at
+	if forward {
+		g.Sum.SerializeInto(&out.sum)
 	}
 }
 
 // simulateLeaf prices client i's round: availability and chaos draws, then
-// downlink + Jobs·SecPerJob + uplink against the deadline. Energy is charged
-// for every phase the device actually ran, even when the update is lost.
-// Every draw is a pure function of (seed, i, round) — scheduling-independent.
-func (c *simCtx) simulateLeaf(i int) leafResult {
-	e := c.e
+// downlink + Jobs·SecPerJob + uplink against the deadline, counting losses
+// and energy into st. Energy is charged for every phase the device actually
+// ran, even when the update is lost. Every draw is a pure function of (seed,
+// i, round) — scheduling-independent.
+func (e *Engine) simulateLeaf(i int, st *RoundStats) leafResult {
 	spec := e.cfg.Population.Client(i)
 	var dec faultinject.Decision
 	if e.hasFault {
@@ -490,11 +458,11 @@ func (c *simCtx) simulateLeaf(i int) leafResult {
 		})
 	}
 	if dec.Drop {
-		c.stats.Unavailable++
+		st.Unavailable++
 		return leafResult{}
 	}
 	if e.chaosMid.Client(i).Unit(e.round, drawAvailability) >= spec.Availability {
-		c.stats.Unavailable++
+		st.Unavailable++
 		return leafResult{}
 	}
 
@@ -505,109 +473,17 @@ func (c *simCtx) simulateLeaf(i int) leafResult {
 
 	if dec.Crash {
 		// Trained, died before reporting: compute energy spent, no uplink.
-		c.stats.Crashed++
-		c.stats.EnergyJ += compute*spec.PowerBusyW + down*spec.PowerIdleW
+		st.Crashed++
+		st.EnergyJ += compute*spec.PowerBusyW + down*spec.PowerIdleW
 		return leafResult{}
 	}
 	total := down + compute + up
-	c.stats.EnergyJ += compute*spec.PowerBusyW + (down+up)*spec.PowerIdleW
+	st.EnergyJ += compute*spec.PowerBusyW + (down+up)*spec.PowerIdleW
 	if dec.Timeout || total > e.deadline {
-		c.stats.DeadlineMisses++
+		st.DeadlineMisses++
 		return leafResult{}
 	}
 	return leafResult{ok: true, completeAt: total}
-}
-
-// simulateNode runs the tier-t aggregator covering leaves [lo, hi) and every
-// subtree below it, depth-first. The tier's spine accumulator is reused by
-// every node of the tier in turn — the DFS guarantees at most one is open per
-// context. On the merge context, visits at the shard tier resolve to the
-// precomputed shard slots instead of recursing.
-func (c *simCtx) simulateNode(t, lo, hi int) nodeResult {
-	if t == c.floor && c.fetch != nil {
-		return c.fetch(lo)
-	}
-	e := c.e
-	vec := c.spine[t]
-	vec.Reset()
-	var weight int64
-	arrived, attempted, survivors := 0, 0, 0
-	latest := 0.0
-	childSpan := spanPow(e.cfg.Fanout, t, e.cfg.Clients)
-	for clo := lo; clo < hi; clo += childSpan {
-		attempted++
-		if t == 0 {
-			lr := c.simulateLeaf(clo)
-			if !lr.ok {
-				continue
-			}
-			w := int64(e.cfg.Update(clo, e.global, c.scratch))
-			if w < 1 {
-				c.fail(fmt.Errorf("fleet: client %d returned weight %d < 1", clo, w))
-				continue
-			}
-			vec.AddScaled(float64(w), c.scratch)
-			weight += w
-			arrived++
-			survivors++
-			if lr.completeAt > latest {
-				latest = lr.completeAt
-			}
-			continue
-		}
-		chi := clo + childSpan
-		if chi > hi {
-			chi = hi
-		}
-		res := c.simulateNode(t-1, clo, chi)
-		if res.completeAt > latest {
-			latest = res.completeAt
-		}
-		if !res.ok {
-			continue
-		}
-		if err := c.merge(vec, t-1, res); err != nil {
-			c.fail(fmt.Errorf("fleet: tier %d merge: %w", t, err))
-			continue
-		}
-		weight += res.weight
-		arrived++
-		survivors += res.survivors
-	}
-
-	node := lo / spanPow(e.cfg.Fanout, t+1, e.cfg.Clients)
-	ev, forward := fl.CloseTier(e.cfg.TierQuorum, fl.TierGroup{
-		Round: e.round, Tier: t, Node: node, TraceID: e.tc.TraceID,
-		Arrived: arrived, Attempted: attempted, Weight: weight, Sum: vec,
-	})
-	switch ev.Kind {
-	case ledger.KindSubtreeDrop:
-		c.stats.SubtreeDrops++
-		c.stats.SubtreeDropLeaves += survivors
-	case ledger.KindPartial:
-		c.stats.Partials++
-		c.stats.WireBytes += ev.WireTxBytes
-	}
-	if ev.Kind != "" {
-		c.ledgerAppend(ev)
-	}
-	if !forward {
-		return nodeResult{completeAt: latest}
-	}
-	return nodeResult{
-		ok: true, weight: weight, survivors: survivors,
-		completeAt: latest + e.cfg.TierLatencySeconds,
-	}
-}
-
-// merge folds the forwarded tier-t node res into dst: a shard fetched by the
-// merge context arrives as its snapshot, any other node is still in this
-// context's tier-t spine accumulator.
-func (c *simCtx) merge(dst *exact.Vec, t int, res nodeResult) error {
-	if res.shard != nil {
-		return dst.Absorb(*res.shard)
-	}
-	return dst.AddVec(c.spine[t])
 }
 
 func (e *Engine) fail(err error) {
@@ -617,69 +493,81 @@ func (e *Engine) fail(err error) {
 }
 
 func (e *Engine) ledgerAppend(ev ledger.Event) {
-	if e.cfg.Ledger != nil {
+	if e.cfg.Ledger != nil && ev.Kind != "" {
 		e.cfg.Ledger.Append(ev)
 	}
 }
 
-// runShards simulates every shard subtree, filling e.shardOuts. Execution
-// order is arbitrary (pool scheduling, or a test-injected permutation); the
-// indexed slots make the merge phase deterministic regardless.
-func (e *Engine) runShards() {
-	n := e.cfg.Clients
-	run := func(s int) {
-		ctx := e.getCtx()
-		out := &e.shardOuts[s]
-		out.stats = RoundStats{}
-		ctx.stats = &out.stats
-		ctx.events = out.events[:0]
-		ctx.err = nil
-		lo := s * e.shardSpan
-		hi := lo + e.shardSpan
-		if hi > n {
-			hi = n
+// runShard drives a worker spine over shard s's leaves into its slot.
+func (e *Engine) runShard(s int) {
+	c := e.getCtx()
+	out := &e.shardOuts[s]
+	*out = shardOut{sum: out.sum, events: out.events[:0]}
+	c.out, c.stats = out, &out.stats
+	clear(c.latest)
+	c.spine.Reset(e.cfg.Clients, e.round, e.tc, nil)
+	lo := s * e.shardSpan
+	hi := min(lo+e.shardSpan, e.cfg.Clients)
+	for i := lo; i < hi; i++ {
+		if lr := e.simulateLeaf(i, c.stats); lr.ok {
+			w := int64(e.cfg.Update(i, e.global, c.scratch))
+			if w < 1 {
+				if out.err == nil {
+					out.err = fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
+				}
+			} else {
+				c.spine.AddScaled(w, c.scratch)
+				c.latest[0] = max(c.latest[0], lr.completeAt)
+			}
 		}
-		res := ctx.simulateNode(e.shardTier, lo, hi)
-		if res.ok {
-			// Snapshot the shard's sum into its own slot so the context can
-			// move on to another shard.
-			ctx.spine[e.shardTier].SerializeInto(&out.sum)
-			res.shard = &out.sum
-		}
-		out.res = res
-		out.events = ctx.events
-		out.err = ctx.err
-		ctx.stats, ctx.events, ctx.err = nil, nil, nil
-		e.putCtx(ctx)
+		c.spine.Advance(i)
 	}
+	c.out, c.stats = nil, nil
+	e.putCtx(c)
+}
+
+// runShards simulates every shard, filling e.shardOuts. Execution order is
+// arbitrary (pool scheduling, or a test-injected permutation); the indexed
+// slots make the merge phase deterministic regardless.
+func (e *Engine) runShards() {
 	if e.shardRunner != nil {
-		e.shardRunner(e.numShards, run)
+		e.shardRunner(e.numShards, e.runShard)
 		return
 	}
 	parallel.ForChunkMax(e.numShards, e.cfg.Workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			run(s)
+			e.runShard(s)
 		}
 	})
 }
 
-// fetchShard is the merge context's shard-tier resolver: it folds shard
-// lo/shardSpan's stats into the round stats, replays its buffered ledger
-// events (the deterministic sequencer — merge order is DFS order, whatever
-// order the shards completed in), surfaces its first error and returns its
-// subtree result.
-func (e *Engine) fetchShard(lo int) nodeResult {
-	out := &e.shardOuts[lo/e.shardSpan]
-	if out.err != nil {
-		e.fail(out.err)
-	}
-	e.stats.accumulate(&out.stats)
-	if e.cfg.Ledger != nil {
-		for _, ev := range out.events {
-			e.cfg.Ledger.Append(ev)
+// mergeShards is the deterministic sequencer: once every shard is done, it
+// takes the slots in index order — folding each one's stats into the round,
+// replaying its buffered ledger events, surfacing its first error — and
+// drives the merge spine over the shard sums up to the root. The journal is
+// therefore in leaf order, whatever order the shards completed in.
+func (e *Engine) mergeShards() {
+	m, n := e.merge, e.cfg.Clients
+	clear(m.latest)
+	m.spine.Reset(n, e.round, e.tc, nil)
+	base := e.shardTier + 1
+	for s := range e.shardOuts {
+		out := &e.shardOuts[s]
+		if out.err != nil {
+			e.fail(out.err)
 		}
+		e.stats.accumulate(&out.stats)
+		for _, ev := range out.events {
+			e.ledgerAppend(ev)
+		}
+		m.latest[base] = max(m.latest[base], out.completeAt)
+		if out.ok {
+			if err := m.spine.Absorb(out.sum, out.weight, out.leaves); err != nil {
+				e.fail(fmt.Errorf("fleet: tier %d merge: %w", base, err))
+			}
+		}
+		m.spine.Advance(min((s+1)*e.shardSpan, n) - 1)
 	}
-	return out.res
 }
 
 // RunRound simulates one virtual-time round over the whole fleet, commits the
@@ -702,38 +590,34 @@ func (e *Engine) RunRound() (RoundStats, error) {
 	})
 
 	e.runShards()
-	root := e.mergeCtx.simulateNode(e.depth, 0, n)
+	e.mergeShards()
 	if e.err != nil {
 		e.abort(e.err.Error())
 		return e.stats, e.err
 	}
+	root, weight, survivors := e.merge.spine.Root()
 	required := int(math.Ceil(e.cfg.Quorum * float64(n)))
 	switch {
-	case !root.ok || root.weight == 0:
+	case weight == 0:
 		err := fmt.Errorf("fleet: round %d: no surviving aggregate", e.round)
 		e.abort(err.Error())
 		return e.stats, err
-	case root.survivors < required:
-		err := fmt.Errorf("fleet: round %d: %d survivors below quorum %d", e.round, root.survivors, required)
+	case survivors < required:
+		err := fmt.Errorf("fleet: round %d: %d survivors below quorum %d", e.round, survivors, required)
 		e.abort(err.Error())
 		return e.stats, err
 	}
 
-	e.rootVec.Reset()
-	if err := e.mergeCtx.merge(e.rootVec, e.depth, root); err != nil {
-		e.abort(err.Error())
-		return e.stats, fmt.Errorf("fleet: round %d: root merge: %w", e.round, err)
-	}
-	e.rootVec.RoundTo(e.sum)
-	tw := float64(root.weight)
+	root.RoundTo(e.sum)
+	tw := float64(weight)
 	for j := range e.global {
 		e.global[j] = e.sum[j] / tw
 	}
 
-	e.stats.Survivors = root.survivors
-	e.stats.Dropped = n - root.survivors
-	e.stats.TotalWeight = root.weight
-	e.stats.VirtualSeconds = root.completeAt + e.cfg.TierLatencySeconds
+	e.stats.Survivors = survivors
+	e.stats.Dropped = n - survivors
+	e.stats.TotalWeight = weight
+	e.stats.VirtualSeconds = e.merge.latest[e.depth+1] + e.cfg.TierLatencySeconds
 	e.cfg.Clock.Advance(time.Duration(e.stats.VirtualSeconds * float64(time.Second)))
 
 	e.cfg.Sink.Count(obs.MetricFleetClients, float64(n))
@@ -743,7 +627,7 @@ func (e *Engine) RunRound() (RoundStats, error) {
 	e.cfg.Sink.Count(obs.MetricFleetDropped, float64(e.stats.Dropped))
 	e.ledgerAppend(ledger.Event{
 		Kind: ledger.KindCommit, Round: e.round, TraceID: e.tc.TraceID,
-		Selected: n, Survivors: root.survivors, Weight: root.weight,
+		Selected: n, Survivors: survivors, Weight: weight,
 		LatencySeconds: e.stats.VirtualSeconds, EnergyJoules: e.stats.EnergyJ,
 	})
 	return e.stats, nil
@@ -768,23 +652,19 @@ func (e *Engine) FlatRound() ([]float64, int64, error) {
 	e.round++
 	e.stats = RoundStats{}
 	e.err = nil
-	ctx := &simCtx{
-		e: e, scratch: make([]float64, e.cfg.Dim),
-		floor: -1, stats: &e.stats,
-	}
+	scratch := make([]float64, e.cfg.Dim)
 
 	acc := exact.NewVec(e.cfg.Dim)
 	var weight int64
 	for i := 0; i < e.cfg.Clients; i++ {
-		lr := ctx.simulateLeaf(i)
-		if !lr.ok {
+		if !e.simulateLeaf(i, &e.stats).ok {
 			continue
 		}
-		w := int64(e.cfg.Update(i, e.global, ctx.scratch))
+		w := int64(e.cfg.Update(i, e.global, scratch))
 		if w < 1 {
 			return nil, 0, fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
 		}
-		acc.AddScaled(float64(w), ctx.scratch)
+		acc.AddScaled(float64(w), scratch)
 		weight += w
 	}
 	if weight == 0 {

@@ -398,16 +398,26 @@ func TestPopulationDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpanPow checks the saturating power helper the tree layout hangs on.
-func TestSpanPow(t *testing.T) {
-	cases := []struct{ fanout, exp, n, want int }{
-		{2, 0, 100, 1}, {2, 3, 100, 8}, {2, 10, 100, 100},
-		{64, 2, 1_000_000, 4096}, {64, 4, 1_000_000, 1_000_000},
-		{3, 40, 1 << 30, 1 << 30}, // would overflow without saturation
-	}
-	for _, c := range cases {
-		if got := spanPow(c.fanout, c.exp, c.n); got != c.want {
-			t.Fatalf("spanPow(%d,%d,%d) = %d, want %d", c.fanout, c.exp, c.n, got, c.want)
+// TestSpineAllocationMatchesSpineBytes: the accumulators a round really
+// allocates are one worker spine (tiers 0..shardTier) per pooled worker plus
+// the merge spine (shardTier+1..depth and the root), and one worker spine
+// plus the merge spine is exactly SpineBytes — no extra tier anywhere.
+func TestSpineAllocationMatchesSpineBytes(t *testing.T) {
+	for _, c := range []struct{ clients, fanout int }{{5, 8}, {64, 4}, {1000, 3}, {20_000, 16}} {
+		e, err := New(Config{Clients: c.clients, Dim: 8, Fanout: c.fanout, Jobs: 1, Seed: 5, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.ctxFree) == 0 {
+			t.Fatalf("%+v: no worker spine pooled", c)
+		}
+		for _, w := range e.ctxFree {
+			if got := w.spine.MemoryBytes() + e.merge.spine.MemoryBytes(); got != e.SpineBytes() {
+				t.Fatalf("%+v: worker + merge spines hold %d bytes, SpineBytes %d", c, got, e.SpineBytes())
+			}
 		}
 	}
 }
