@@ -290,11 +290,13 @@ func orchestrate(srv *fl.Server, rounds int, out io.Writer) error {
 //
 // Two rules govern the interplay:
 //
-//  1. The fold turnstile admits leaves in index order, so a tree of depth d
-//     can have at most tree-fanout × d leaf slots making fold progress at
-//     once (one open group per tier); a wider dispatch only parks goroutines
-//     at the turnstile. The width is clamped to that bound — a fix, not an
-//     error.
+//  1. A tree leaf folds only once its tier-0 group is open, and groups
+//     open in index order, so a tree of depth d can have at most
+//     tree-fanout × d leaf slots making fold progress at once (one open
+//     group per tier); a wider dispatch only parks goroutines waiting for
+//     their group. The width is clamped to that bound — a fix, not an
+//     error. A flat round's one group is open from the start, so its width
+//     is not clamped.
 //  2. A positive -retry-budget is shared by all concurrent attempts. If the
 //     dispatch width exceeds the budget, which attempts draw the last budget
 //     tokens becomes a goroutine-scheduling accident: the same seed could

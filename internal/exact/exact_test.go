@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -306,4 +307,53 @@ func BenchmarkRoundTo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.RoundTo(dst)
 	}
+}
+
+// wideRow is serve-wide's fold operand: 65,537 float32-valued scalars (a
+// 65,536-parameter model plus FedAvg's weight slot).
+func wideRow() []float64 {
+	const dim = 65_537
+	rng := rand.New(rand.NewSource(1))
+	row := make([]float64, dim)
+	for i := range row {
+		row[i] = float64(float32(rng.NormFloat64() * 0.05))
+	}
+	return row
+}
+
+// BenchmarkAddScaledWide is the serving plane's fold at its real shape:
+// example weights 1..29 against a float32-valued row. Reports ns/scalar.
+func BenchmarkAddScaledWide(b *testing.B) {
+	row := wideRow()
+	v := NewVec(len(row))
+	b.SetBytes(int64(len(row)) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.AddScaled(float64(1+i%29), row)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(row)), "ns/scalar")
+}
+
+// BenchmarkAddScaledWideStripes is BenchmarkAddScaledWide with two
+// goroutines folding every row into disjoint stripes concurrently, each
+// owning every other stripe. ns/scalar is wall time per row scalar.
+func BenchmarkAddScaledWideStripes(b *testing.B) {
+	row := wideRow()
+	v := NewVec(len(row))
+	b.SetBytes(int64(len(row)) * 8)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				for k := g; k < v.Stripes(); k += 2 {
+					v.AddScaledStripe(k, float64(1+i%29), row)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(row)), "ns/scalar")
 }

@@ -45,7 +45,9 @@ const (
 // must be deterministic: Contribute and Commit may depend only on their
 // arguments and on state mutated by previous Commit calls, never on time,
 // randomness or goroutine scheduling. One instance serves one Server —
-// stateful strategies (SCAFFOLD) carry per-server variates.
+// stateful strategies (SCAFFOLD) carry per-server variates. The dispatch
+// workers call Contribute concurrently, so it must not mutate shared state;
+// Commit runs alone, after every Contribute of the round.
 type Aggregator interface {
 	// Name returns the registry name (AlgFedAvg, …).
 	Name() string
@@ -62,9 +64,10 @@ type Aggregator interface {
 	// which has length dim+ExtraDim(dim): dst[:dim] is the weighted
 	// parameter vector, dst[dim:] the statistic contributions. jobs is the
 	// round's nominal job count W. The caller has already validated the
-	// parameter length, a positive example count and finite values. An
-	// error refuses the update: the server drops and quarantines its
-	// sender (ErrInvalidUpdate).
+	// parameter length, a positive example count and finite values, and
+	// refuses a contribution that is not finite. An error refuses the
+	// update: the server drops and quarantines its sender
+	// (ErrInvalidUpdate). Called concurrently from the dispatch workers.
 	Contribute(dst, global []float64, resp *RoundResponse, jobs int) error
 	// Commit derives the new global model from the rounded exact totals
 	// (same layout as Contribute's dst) and updates any server-side

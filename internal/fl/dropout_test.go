@@ -214,3 +214,64 @@ func TestInvalidUpdateRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestOverflowingContributionRefused is the overflow probe: every parameter
+// of the poisoner is finite (1e308), but weighted by its 29 examples each
+// one rounds to +Inf. At quorum 0.5 the round commits the batch aggregate
+// over the healthy client, quarantines the sender and journals its attempt
+// as invalid; at the zero-value quorum it aborts with the model untouched.
+func TestOverflowingContributionRefused(t *testing.T) {
+	const dim = 4
+	healthy := &mathParticipant{id: "c0", idx: 0, num: 3}
+	run := func(quorum float64) (*Server, *ledger.Ledger, RoundResult, error) {
+		led := ledger.New(0)
+		srv := newMathServer(t, dim, quorum)
+		srv.cfg.Ledger = led
+		srv.Register(healthy)
+		srv.Register(&poisonParticipant{
+			mathParticipant: &mathParticipant{id: "c1", idx: 1, num: 1},
+			spoil: func(r *RoundResponse) {
+				for j := range r.Params {
+					r.Params[j] = 1e308
+				}
+				r.NumExamples = 29
+			},
+		})
+		res, err := srv.RunRound()
+		return srv, led, res, err
+	}
+
+	srv, led, res, err := run(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Responses) != 1 || len(res.Quarantined) != 1 || res.Quarantined[0] != "c1" {
+		t.Fatalf("responses %d, quarantined %v; want 1 and [c1]", len(res.Responses), res.Quarantined)
+	}
+	initial := newMathServer(t, dim, 0).GlobalParams()
+	want, err := BatchAggregate(FedAvg{}, initial, []RoundResponse{
+		{ClientID: healthy.id, Params: healthy.update(initial), NumExamples: healthy.num},
+	}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "committed over the healthy client", srv.GlobalParams(), want)
+	verdicts := 0
+	for _, ev := range led.Events() {
+		if ev.Kind == ledger.KindAttempt && ev.Client == "c1" {
+			if ev.Verdict != ledger.VerdictInvalid {
+				t.Fatalf("poisoner attempt event %+v, want verdict invalid", ev)
+			}
+			verdicts++
+		}
+	}
+	if verdicts != 1 {
+		t.Fatalf("%d attempt events for the poisoner, want 1", verdicts)
+	}
+
+	srv, _, _, err = run(0)
+	if !errors.Is(err, ErrInvalidUpdate) {
+		t.Fatalf("zero-value quorum: error %v, want ErrInvalidUpdate", err)
+	}
+	bitwiseEqual(t, "aborted round's global model", srv.GlobalParams(), initial)
+}

@@ -127,8 +127,8 @@ func (c *roundCaller) backoff(client string, round, attempt int) time.Duration {
 }
 
 // attemptRecord is one attempt's ledger-facing verdict, produced by call()
-// and journaled by the server inside the fold turnstile so record order is
-// deterministic. Every quantity here is derived from the seeded fault plane
+// and journaled by the server's round drain in participant index order, so
+// record order is deterministic. Every quantity here is derived from the seeded fault plane
 // or the deterministic simulation — never from the wall clock.
 type attemptRecord struct {
 	attempt   int

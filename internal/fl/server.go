@@ -61,12 +61,13 @@ type RoundResponse struct {
 
 // ErrInvalidUpdate tags an update the server refuses to fold: the wrong
 // number of parameters, a non-positive example count, a non-finite parameter
-// or auxiliary value, or one the aggregation strategy rejects. Like
-// ErrCorruptFrame it drops the sender from the round and quarantines it.
+// or auxiliary value, a weighted contribution that overflows, or one the
+// aggregation strategy rejects. Like ErrCorruptFrame it drops the sender
+// from the round and quarantines it.
 var ErrInvalidUpdate = errors.New("fl: invalid update")
 
 // validateUpdate checks a delivered response before it may reach the fold.
-// It runs in the dispatch worker, off the turnstile.
+// It runs in the dispatch worker, before the update is contributed.
 func validateUpdate(resp *RoundResponse, dim int) error {
 	switch {
 	case len(resp.Params) != dim:
@@ -81,6 +82,20 @@ func validateUpdate(resp *RoundResponse, dim int) error {
 	}
 	if j := firstNonFinite(resp.Aux); j >= 0 {
 		return fmt.Errorf("%w: client %s aux %d is %v", ErrInvalidUpdate, resp.ClientID, j, resp.Aux[j])
+	}
+	return nil
+}
+
+// contribute writes resp's fold contribution into dst through the strategy.
+// It refuses an update the strategy rejects, and one whose weighted
+// contribution overflows: finite parameters times the example weight can
+// still round to ±Inf, which would poison every global slot it reaches.
+func (s *Server) contribute(dst []float64, resp *RoundResponse) error {
+	if err := s.agg.Contribute(dst, s.global, resp, s.cfg.Jobs); err != nil {
+		return fmt.Errorf("%w: client %s: %w", ErrInvalidUpdate, resp.ClientID, err)
+	}
+	if j := firstNonFinite(dst); j >= 0 {
+		return fmt.Errorf("%w: client %s contribution %d is %v", ErrInvalidUpdate, resp.ClientID, j, dst[j])
 	}
 	return nil
 }
@@ -260,8 +275,9 @@ type ServerConfig struct {
 	// clock. Tests pass a *simclock.Sim so chaos runs in virtual time.
 	Clock simclock.Clock
 	// Ledger, when set, journals every attempt verdict, quarantine, quorum
-	// and commit/abort decision the round produces — appended in fold order
-	// under the turnstile, so replays at a fixed seed are byte-identical.
+	// and commit/abort decision the round produces — appended in participant
+	// index order by the round's drain, so replays at a fixed seed are
+	// byte-identical.
 	Ledger *ledger.Ledger
 	// Tree, when set, shards aggregation into a hierarchy of intermediate
 	// aggregators (see tree.go). nil keeps the flat streaming fold; because
@@ -304,11 +320,11 @@ type Server struct {
 	// round's leaf spans [lo, hi) the tier quorum discarded.
 	tree      *Spine
 	treeDrops [][2]int
-	// sum is commit scratch for the rounded exact totals; contrib is the
-	// per-response contribution scratch, written and folded strictly under
-	// the turnstile.
-	sum     []float64
-	contrib []float64
+	// sum is commit scratch for the rounded exact totals.
+	sum []float64
+	// bufs recycles the dispatch workers' scratch across chunks and rounds:
+	// *[]float64 holding a params copy and a contribution back to back.
+	bufs sync.Pool
 }
 
 // SetSink installs a telemetry sink. Beyond orchestration metrics, the server
@@ -494,24 +510,26 @@ func (s *Server) RunRound() (RoundResult, error) {
 		Deadline: deadline, Selected: len(selected),
 	})
 
-	// Execute phase: dispatch through the shared bounded worker pool and
-	// stream each arriving update into the FedAvg accumulator. Folds happen
-	// strictly in participant index order (a condition-variable turnstile)
-	// and accumulate exactly (internal/exact), so the committed model is
-	// byte-identical for any pool width, completion order or tree shape. A
-	// worker whose turn has not come waits holding only its own response, so
-	// at most pool-width parameter vectors are alive at once; the
-	// O(clients×params) response buffer of the old two-phase design is gone.
+	// Execute phase: dispatch through the shared bounded worker pool. Each
+	// worker contributes and folds its own updates: exact accumulation
+	// (internal/exact) makes the fold independent of order, so workers fold
+	// concurrently into disjoint stripes of the open tier-0 accumulator. Only
+	// the bookkeeping — ledger appends, tier counters, group closes — runs
+	// in participant index order, through a non-blocking drain: a worker
+	// deposits its finished slot and moves on, and whichever worker finds
+	// the drain idle settles every consecutive deposited slot. The committed
+	// model and the ledger are therefore byte-identical for any pool width,
+	// completion order or tree shape. A worker holds only its own response
+	// and contribution, so at most pool-width parameter vectors are alive at
+	// once.
 	endExecute := s.sink.Span(obs.SpanFLExecute, tc.ChildLabels()...)
 	n := len(selected)
 	s.caller.resetBudget()
 	// The fold spans the extended vector: model dims plus the strategy's
 	// statistic slots, all accumulated exactly so tier partials and quorum
 	// renormalization treat them uniformly.
-	vecDim := len(s.global) + s.agg.ExtraDim(len(s.global))
-	if len(s.contrib) != vecDim {
-		s.contrib = make([]float64, vecDim)
-	}
+	dim := len(s.global)
+	vecDim := dim + s.agg.ExtraDim(dim)
 	treeCfg := TreeConfig{} // a flat round: one tier, which is the root
 	if s.cfg.Tree != nil {
 		treeCfg = *s.cfg.Tree
@@ -542,62 +560,108 @@ func (s *Server) RunRound() (RoundResult, error) {
 		recs []attemptRecord // per-attempt verdicts for ledger + trace graft
 	}
 	slots := make([]slot, n)
-	var (
-		foldMu   sync.Mutex
-		foldCond = sync.NewCond(&foldMu)
-		nextFold int
-	)
-	parallel.ForChunk(n, func(lo, hi int) {
-		// One params scratch per chunk: each participant gets a private
-		// copy of the global vector, so no two concurrent requests alias
-		// the same backing slice (and none alias s.global). The scratch is
-		// only reused after the previous index's fold completed, which is
-		// the point where the server stops reading the response.
-		var scratch []float64
-		for i := lo; i < hi; i++ {
-			if scratch == nil {
-				scratch = make([]float64, len(s.global))
+	// settle is the index-order half of leaf i, run by the drain only.
+	settle := func(i int) {
+		// Attempt events land in participant index order regardless of which
+		// worker finished first — the property the byte-identical replay
+		// guarantee rests on.
+		sl := &slots[i]
+		clientID := selected[i].ID()
+		for _, rec := range sl.recs {
+			ev := ledger.Event{
+				Kind: ledger.KindAttempt, TraceID: tc.TraceID, SpanID: rec.spanID,
+				Client: clientID, Attempt: rec.attempt, Verdict: rec.verdict,
+				DelayNs: rec.delayNs, BackoffNs: rec.backoffNs,
+				WireTxBytes: rec.wireTx, WireRxBytes: rec.wireRx,
+				Detail: rec.detail,
 			}
+			if rec.verdict == ledger.VerdictOK && sl.err == nil {
+				ev.EnergyJoules = sl.resp.Report.Energy
+				ev.LatencySeconds = sl.resp.Report.Duration
+			}
+			s.ledgerAppend(ev)
+		}
+		if sl.err == nil {
+			tree.Tally(int64(sl.resp.NumExamples))
+		}
+		// Close every tier group whose span ends here, so partial events
+		// land in canonical order.
+		tree.Advance(i)
+	}
+	var (
+		mu       sync.Mutex
+		advanced = sync.NewCond(&mu) // broadcast whenever settled grows
+		ready    = make([]bool, n)   // slot i is deposited
+		settled  int                 // slots [0, settled) are settled
+		draining bool                // a worker is running the drain
+	)
+	// deposit hands slot i to the drain. If no worker is draining, the
+	// caller becomes the drain and settles the run of consecutive deposited
+	// slots outside the lock, repeating until it finds the next slot
+	// missing; a slot deposited meanwhile is seen by that final check.
+	deposit := func(i int) {
+		mu.Lock()
+		ready[i] = true
+		if draining {
+			mu.Unlock()
+			return
+		}
+		draining = true
+		for {
+			lo, hi := settled, settled
+			for hi < n && ready[hi] {
+				hi++
+			}
+			if hi == lo {
+				draining = false
+				mu.Unlock()
+				return
+			}
+			mu.Unlock()
+			for j := lo; j < hi; j++ {
+				settle(j)
+			}
+			mu.Lock()
+			settled = hi
+			advanced.Broadcast()
+		}
+	}
+	parallel.ForChunk(n, func(lo, hi int) {
+		// One scratch per chunk: each participant gets a private copy of the
+		// global vector, so no two concurrent requests alias the same backing
+		// slice (and none alias s.global), and its contribution gets its own
+		// fold operand. Both are free again once the leaf has folded.
+		buf, _ := s.bufs.Get().(*[]float64)
+		if buf == nil || len(*buf) != dim+vecDim {
+			b := make([]float64, dim+vecDim)
+			buf = &b
+		}
+		defer s.bufs.Put(buf)
+		scratch, contrib := (*buf)[:dim:dim], (*buf)[dim:]
+		for i := lo; i < hi; i++ {
 			copy(scratch, s.global)
 			req := proto
 			req.Params = scratch
 			resp, recs, err := s.caller.call(selected[i], req, s.sink)
 			if err == nil {
-				err = refuse(recs, validateUpdate(&resp, len(s.global)))
-			}
-
-			foldMu.Lock()
-			for nextFold != i {
-				foldCond.Wait()
+				err = refuse(recs, validateUpdate(&resp, dim))
 			}
 			if err == nil {
+				// A tree leaf folds into its tier-0 group, which opens once
+				// every leaf before it is settled; a flat round's only group
+				// is open from the start.
+				if g := tree.GroupStart(i); g > 0 {
+					mu.Lock()
+					for settled < g {
+						advanced.Wait()
+					}
+					mu.Unlock()
+				}
 				endFold := s.sink.Span(obs.SpanFLFold, tc.ChildLabels()...)
-				if cerr := s.agg.Contribute(s.contrib, s.global, &resp, s.cfg.Jobs); cerr != nil {
-					err = refuse(recs, fmt.Errorf("%w: client %s: %w", ErrInvalidUpdate, resp.ClientID, cerr))
-				} else {
-					tree.Add(int64(resp.NumExamples), s.contrib)
+				if err = refuse(recs, s.contribute(contrib, &resp)); err == nil {
+					tree.Fold(i, contrib)
 				}
 				endFold()
-			}
-			// Ledger appends happen inside the turnstile, so attempt events
-			// land in participant index order regardless of which goroutine
-			// finished first — the property the byte-identical replay
-			// guarantee rests on.
-			slots[i].recs = recs
-			clientID := selected[i].ID()
-			for _, rec := range recs {
-				ev := ledger.Event{
-					Kind: ledger.KindAttempt, TraceID: tc.TraceID, SpanID: rec.spanID,
-					Client: clientID, Attempt: rec.attempt, Verdict: rec.verdict,
-					DelayNs: rec.delayNs, BackoffNs: rec.backoffNs,
-					WireTxBytes: rec.wireTx, WireRxBytes: rec.wireRx,
-					Detail: rec.detail,
-				}
-				if rec.verdict == ledger.VerdictOK && err == nil {
-					ev.EnergyJoules = resp.Report.Energy
-					ev.LatencySeconds = resp.Report.Duration
-				}
-				s.ledgerAppend(ev)
 			}
 			if err != nil {
 				slots[i].err = err
@@ -605,12 +669,8 @@ func (s *Server) RunRound() (RoundResult, error) {
 				resp.Params, resp.Aux = nil, nil // the update now lives in the accumulator
 				slots[i].resp = resp
 			}
-			// Close every tier group whose span ends here — still inside the
-			// turnstile, so partial events land in canonical order.
-			tree.Advance(i)
-			nextFold++
-			foldCond.Broadcast()
-			foldMu.Unlock()
+			slots[i].recs = recs
+			deposit(i)
 		}
 	})
 	endExecute()

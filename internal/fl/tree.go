@@ -1,16 +1,16 @@
 package fl
 
-// Hierarchical aggregation. With a tree configured, RunRound's turnstile no
-// longer folds leaves into a single root accumulator: contiguous spans of
-// Fanout leaves fold into a tier-0 aggregator, every Fanout tier-0 partials
-// merge into a tier-1 aggregator, and so on until one node spans the whole
-// selection — the root. Because the turnstile already fixes the canonical
-// leaf order and the fold arithmetic is exact (internal/exact), only the
-// *rightmost* group of every tier can be open at any moment. That spine is
-// the whole working set: O(depth · params) accumulator memory regardless of
-// how many leaves the round selects, and the root sum is bit-identical to
-// the flat fold for any fanout. A flat round is the one-tier spine whose
-// tier 0 is the root.
+// Hierarchical aggregation. With a tree configured, RunRound no longer folds
+// leaves into a single root accumulator: contiguous spans of Fanout leaves
+// fold into a tier-0 aggregator, every Fanout tier-0 partials merge into a
+// tier-1 aggregator, and so on until one node spans the whole selection —
+// the root. Because RunRound's drain settles leaves in canonical leaf order,
+// a leaf folds only once its tier-0 group is open, and the fold arithmetic
+// is exact (internal/exact), only the *rightmost* group of every tier can be
+// open at any moment. That spine is the whole working set: O(depth · params)
+// accumulator memory regardless of how many leaves the round selects, and
+// the root sum is bit-identical to the flat fold for any fanout. A flat
+// round is the one-tier spine whose tier 0 is the root.
 //
 // Spine is the only code that folds a tree: the server drives one per round,
 // and the fleet simulator drives one per shard plus a merge spine over the
@@ -29,6 +29,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"bofl/internal/exact"
 	"bofl/internal/obs"
@@ -166,6 +167,8 @@ type Spine struct {
 	capTier int // highest tier that closes; negative closes up to the root
 	onClose CloseFunc
 	tiers   []spineTier // tiers[k] is tier base+k
+	// stripeMu[k] guards stripe k of the base tier's sum for concurrent Folds.
+	stripeMu []sync.Mutex
 
 	// Per-pass state.
 	n     int
@@ -199,6 +202,9 @@ func (s *Spine) Reset(n, round int, tc obs.TraceContext, sink obs.Sink) {
 	for len(s.tiers) <= last-s.base {
 		s.tiers = append(s.tiers, spineTier{vec: exact.NewVec(s.dim)})
 	}
+	if s.stripeMu == nil {
+		s.stripeMu = make([]sync.Mutex, s.tiers[0].vec.Stripes())
+	}
 	for k := range s.tiers {
 		s.tiers[k].reset()
 	}
@@ -209,13 +215,39 @@ func (t *spineTier) reset() {
 	t.weight, t.arrived, t.attempted, t.leaves = 0, 0, 0, 0
 }
 
-// Add folds one surviving leaf whose contribution v is already weighted; w is
-// its integer example weight.
-func (s *Spine) Add(w int64, v []float64) {
-	t := &s.tiers[0]
-	t.vec.Add(v)
-	t.fold(w, 1)
+// GroupStart returns the first leaf of the base-tier group leaf i folds
+// into. That group is open, and leaf i may Fold, once every leaf before
+// GroupStart(i) has been settled by Advance. A spine whose base tier is the
+// root has one group, open from the start.
+func (s *Spine) GroupStart(i int) int {
+	if s.base >= len(s.spans) {
+		return 0
+	}
+	span := s.spans[s.base]
+	return i / span * span
 }
+
+// Fold adds one surviving leaf's already-weighted contribution v into the
+// open base-tier group, stripe by stripe under per-stripe locks, beginning
+// at stripe i mod Stripes so that concurrent folds of neighbouring leaves
+// start apart. Folds may run concurrently with each other, but only into an
+// open group (GroupStart) and never concurrently with the Advance that
+// closes it. The leaf's weight is counted separately, by Tally in leaf
+// order: exact addition makes the fold order-free, the bookkeeping is not.
+func (s *Spine) Fold(i int, v []float64) {
+	vec := s.tiers[0].vec
+	n := vec.Stripes()
+	for j := range n {
+		k := (i + j) % n
+		s.stripeMu[k].Lock()
+		vec.AddScaledStripe(k, 1, v)
+		s.stripeMu[k].Unlock()
+	}
+}
+
+// Tally counts one folded leaf of integer example weight w into the open
+// base-tier group. Call it in leaf order, before the leaf's Advance.
+func (s *Spine) Tally(w int64) { s.tiers[0].fold(w, 1) }
 
 // AddScaled folds one surviving leaf update v scaled by its weight w.
 func (s *Spine) AddScaled(w int64, v []float64) {

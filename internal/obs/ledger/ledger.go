@@ -8,7 +8,7 @@
 // chaos round no longer just *happens* — it leaves a deterministic record of
 // which client was dropped at which attempt and what the round paid for it.
 // Determinism is structural: events are appended in participant index order
-// (the server's fold turnstile already serializes that order independent of
+// (the server's round drain settles slots in that order independent of
 // goroutine scheduling), every recorded quantity is derived from seeded
 // virtual-time simulation or pure hash draws, and no wall-clock timestamp is
 // ever recorded. Two runs of the same scenario under the same
@@ -122,7 +122,7 @@ const DefaultMaxEvents = 1 << 16
 
 // Ledger is an append-only event journal: a bounded in-memory ring plus an
 // optional streaming JSONL sink. Safe for concurrent use, though the serving
-// plane appends under its fold turnstile precisely so the order is
+// plane appends from its index-order round drain precisely so the order is
 // deterministic.
 type Ledger struct {
 	mu      sync.Mutex
