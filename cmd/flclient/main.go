@@ -37,7 +37,6 @@ func run(args []string) error {
 	checkinRetries := fs.Int("checkin-retries", 5, "check-in attempts against an unreachable server")
 	checkinTimeout := fs.Duration("checkin-timeout", 10*time.Second, "per-attempt check-in deadline")
 	pprofAddr := fs.String("pprof", "", "also serve net/http/pprof on this address (empty = off)")
-	jsonOnly := fs.Bool("json-only", false, "disable the binary wire codec and speak JSON only (pre-codec behaviour)")
 	noSpans := fs.Bool("no-span-report", false, "ignore server trace contexts and return no client span summaries in round reports")
 	cfg, err := parseClientFlags(fs, args)
 	if err != nil {
@@ -85,9 +84,6 @@ func run(args []string) error {
 	ml.SetSink(tel)
 	handler := fl.NewClientHandler(client)
 	handler.SetTelemetry(tel)
-	if *jsonOnly {
-		handler.SetJSONOnly(true)
-	}
 	if *noSpans {
 		handler.SetNoSpanReport(true)
 	}

@@ -2,9 +2,10 @@ package bofl_test
 
 // BenchmarkFLScale measures the FL serving plane at fleet scale: a
 // thousand-participant in-process round through the bounded dispatch +
-// streaming-fold path, an HTTP loopback federation over the negotiated binary
-// codec, and the codec's wire savings against the JSON fallback (the
-// `wire_x` metric is the acceptance bar: ≥ 4× on a CNN-sized vector).
+// streaming-fold path, an HTTP loopback federation over the binary frame
+// codec, and the codec's wire savings against a JSON encoding of the same
+// request (the `wire_x` metric is the acceptance bar: ≥ 4× on a CNN-sized
+// vector).
 
 import (
 	"bytes"
@@ -138,7 +139,7 @@ func BenchmarkFLScale(b *testing.B) {
 
 	b.Run("http-loopback", func(b *testing.B) {
 		// A few dozen daemons behind real HTTP servers, speaking the
-		// negotiated binary codec end to end. The daemon side is the cheap
+		// binary frame codec end to end. The daemon side is the cheap
 		// codec-only handler below, so the measurement is transport + codec,
 		// not model training.
 		const clients, dim = 32, 16_384
@@ -153,7 +154,7 @@ func BenchmarkFLScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			if p.Codec() != fl.CodecBinary {
-				b.Fatalf("negotiated %s", p.Codec())
+				b.Fatalf("codec %s", p.Codec())
 			}
 			srv.Register(p)
 		}
@@ -198,7 +199,7 @@ func BenchmarkFLScale(b *testing.B) {
 	})
 }
 
-// codecEchoHandler is a minimal binary-capable daemon: /v1/info advertises
+// codecEchoHandler is a minimal daemon: /v1/info advertises
 // the codec, /v1/round echoes the parameters back through the frame codec.
 func codecEchoHandler(id string) http.Handler {
 	mux := http.NewServeMux()
@@ -209,7 +210,7 @@ func codecEchoHandler(id string) http.Handler {
 			Device:      "bench",
 			TMinPerJob:  0.001,
 			NumExamples: 64,
-			Codecs:      []string{fl.CodecBinary, fl.CodecJSON},
+			Codecs:      []string{fl.CodecBinary},
 		})
 	})
 	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {

@@ -375,8 +375,8 @@ func (v *Vec) normalize() {
 // form up to plane top (≥ hiLimb): every limb of planes [loLimb, top) is in
 // [0, 2^32), and plane top takes the residual carry and the sign. Exact: the
 // represented value is unchanged. Called only at rounding time and for
-// carry-slack relief, never on the serialization path, so partial frames
-// keep their compact windows. Carry-slack relief passes the stripe's own
+// carry-slack relief, never on the serialization path, so snapshots keep
+// their compact windows. Carry-slack relief passes the stripe's own
 // hiLimb, touching nothing outside the stripe; normalize passes the
 // vector's, so every stripe canonicalizes to the same top plane, and a
 // stripe's window widens to that plane.
@@ -585,9 +585,9 @@ func (v *Vec) anyBitsBelow(mag *[limbsPerAcc]uint64, loLimb, to int) bool {
 
 // --- serialization ------------------------------------------------------
 
-// Serialized is the portable form of a Vec: the touched limb window of every
-// scalar plus the sticky special flags — what a tier aggregator ships to its
-// parent inside a BFL1 partial-aggregate frame. Limbs are plane-major,
+// Serialized is the compact snapshot of a Vec: the touched limb window of
+// every scalar plus the sticky special flags — what a fleet shard hands the
+// merge spine in place of a full accumulator. Limbs are plane-major,
 // matching Vec storage: limb plane k ∈ [Lo, Hi) occupies
 // Limbs[(k-Lo)·Dim : (k-Lo+1)·Dim], scalar i at offset i.
 type Serialized struct {
@@ -599,8 +599,8 @@ type Serialized struct {
 }
 
 // SerializeInto snapshots the accumulator into s, reusing s.Limbs when it has
-// capacity — the zero-allocation path for per-node partial frames. The
-// snapshot shares no storage with v.
+// capacity — the zero-allocation path for per-shard snapshots. The snapshot
+// shares no storage with v.
 func (v *Vec) SerializeInto(s *Serialized) {
 	s.Dim = v.dim
 	s.Adds = 0
@@ -608,7 +608,7 @@ func (v *Vec) SerializeInto(s *Serialized) {
 	for k := range v.stripes {
 		st := &v.stripes[k]
 		// Every stripe's limbs are bounded by its own charge, so the largest
-		// one bounds the frame.
+		// one bounds the snapshot.
 		s.Adds = max(s.Adds, st.adds)
 		if st.specials != nil {
 			if s.Specials == nil {
@@ -645,9 +645,10 @@ func (v *Vec) Serialize() Serialized {
 	return s
 }
 
-// Absorb merges a serialized accumulator into v exactly — the deserializing
-// half of a tier merge. It validates the window and length so a corrupt
-// partial frame cannot write out of bounds.
+// Absorb merges a serialized accumulator into v exactly — the receiving half
+// of a shard merge; it equals AddVec of the source accumulator. It validates
+// the window, length and limb bounds, so a corrupt snapshot cannot write out
+// of bounds or overflow a limb.
 func (v *Vec) Absorb(s Serialized) error {
 	if s.Dim != v.dim {
 		return fmt.Errorf("exact: absorb dim %d into dim %d", s.Dim, v.dim)
@@ -663,8 +664,8 @@ func (v *Vec) Absorb(s Serialized) error {
 		return fmt.Errorf("exact: absorb %d special flags, want %d", len(s.Specials), s.Dim)
 	}
 	if w > 0 {
-		// An honest encoder's limbs are bounded by its carry-slack charge; a
-		// frame claiming more is corrupt and must not be able to overflow the
+		// An honest snapshot's limbs are bounded by its carry-slack charge;
+		// one claiming more is corrupt and must not be able to overflow the
 		// int64 limbs on merge.
 		const maxLimbMag = int64(1) << 62
 		for _, l := range s.Limbs {

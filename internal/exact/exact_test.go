@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -201,8 +202,86 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAbsorbRejectsCorrupt covers the defensive paths a hostile partial frame
-// can hit.
+// TestSerializeAbsorbMatchesAddVec pins the fleet's shard merge: over
+// randomized accumulators, SerializeInto → Absorb into a parent leaves the
+// parent bit-identical to merging the child with AddVec — same window, limbs,
+// Adds and specials, and the same RoundTo output. The accumulators cover
+// empty, single-limb, narrow and wide windows (wide ones reaching the
+// subnormal range), mixed signs, and NaN/±Inf specials with and without
+// finite limbs. One snapshot is reused across trials, as a shard reuses its
+// slot, so a stale tail from a wider earlier snapshot would show.
+func TestSerializeAbsorbMatchesAddVec(t *testing.T) {
+	kinds := []string{"empty", "single-limb", "narrow", "wide", "specials", "specials-only"}
+	rng := rand.New(rand.NewSource(20261017))
+	var snap Serialized
+	for trial := 0; trial < 60; trial++ {
+		kind := kinds[trial%len(kinds)]
+		dim := 1 + rng.Intn(48)
+		if trial%12 == 3 {
+			dim = 256
+		}
+		parentKind := kinds[rng.Intn(len(kinds))]
+		childSeed, parentSeed := rng.Int63(), rng.Int63()
+		child := randomAcc(childSeed, kind, dim)
+		label := fmt.Sprintf("trial %d (%s child into %s parent, dim %d)", trial, kind, parentKind, dim)
+
+		child.SerializeInto(&snap)
+		absorbed := randomAcc(parentSeed, parentKind, dim)
+		if err := absorbed.Absorb(snap); err != nil {
+			t.Fatalf("%s: absorb: %v", label, err)
+		}
+		direct := randomAcc(parentSeed, parentKind, dim)
+		if err := direct.AddVec(child); err != nil {
+			t.Fatal(err)
+		}
+		assertSameState(t, label, absorbed, direct)
+	}
+}
+
+// randomAcc builds a seeded accumulator of the given window kind.
+func randomAcc(seed int64, kind string, dim int) *Vec {
+	rng := rand.New(rand.NewSource(seed))
+	v := NewVec(dim)
+	x := make([]float64, dim)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	switch kind {
+	case "empty":
+	case "single-limb":
+		// One limb plane of mixed-sign digits, as a snapshot can carry.
+		lo := rng.Intn(60)
+		s := Serialized{Dim: dim, Lo: lo, Hi: lo + 1, Adds: 1 + rng.Int63n(8), Limbs: make([]uint64, dim)}
+		for i := range s.Limbs {
+			s.Limbs[i] = uint64(rng.Int63n(1<<33) - 1<<32)
+		}
+		if err := v.Absorb(s); err != nil {
+			panic(err)
+		}
+	case "specials-only":
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			clear(x)
+			x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+			v.Add(x)
+		}
+	default:
+		for k := 0; k < 1+rng.Intn(20); k++ {
+			for i := range x {
+				e := rng.Intn(8) - 4
+				if kind == "wide" {
+					e = rng.Intn(1900) - 1070 // subnormal products up to ~2^830
+				}
+				x[i] = rng.NormFloat64() * math.Ldexp(1, e)
+			}
+			if kind == "specials" {
+				x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+			}
+			v.AddScaled(float64(1+rng.Intn(100)), x)
+		}
+	}
+	return v
+}
+
+// TestAbsorbRejectsCorrupt covers the defensive paths a corrupt snapshot can
+// hit.
 func TestAbsorbRejectsCorrupt(t *testing.T) {
 	v := NewVec(2)
 	if err := v.Absorb(Serialized{Dim: 3}); err == nil {

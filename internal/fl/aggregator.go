@@ -19,7 +19,7 @@ package fl
 //     contribution is added *exactly* (internal/exact), so any grouping of
 //     the leaves — flat, tree, ragged tails — reaches the root with the
 //     same accumulator state bit for bit, and the extra slots ride tier
-//     partial frames for free (they are just more scalars of the window).
+//     merges for free (they are just more scalars of the window).
 //   - Commit derives the new global model from the rounded exact totals,
 //     once, at the root. Because every divisor and correction coefficient
 //     is a folded statistic, quorum dropout and subtree discard renormalize

@@ -1,10 +1,9 @@
 package fl
 
-// Wire codec for the FL data plane. The HTTP transport historically moved
-// every model as a JSON array of float64s — ~19 bytes per parameter once a
-// value needs its full shortest-round-trip decimal form. At fleet scale the
-// round traffic is dominated by those arrays, so this file defines a
-// versioned binary frame for RoundRequest/RoundResponse:
+// Wire codec for the FL data plane: the one format of RoundRequest and
+// RoundResponse on the server↔daemon edge. A JSON array of float64s costs
+// ~19 bytes per parameter once a value needs its full shortest-round-trip
+// decimal form; the versioned binary frame costs 8 or 4:
 //
 //	offset  size  field
 //	0       4     magic "BFL1" (version is part of the magic)
@@ -33,10 +32,8 @@ package fl
 //     with structure (zero runs, repeated exponents) shrink further; fully
 //     random mantissas cost a few header bytes and pass through.
 //
-// Frames are self-describing, so a binary-capable peer can decode any frame
-// a binary-capable encoder produces. Interop with JSON-only peers is handled
-// one level up (http.go) via Content-Type negotiation; the codec advertised
-// in InfoResponse.Codecs is CodecBinary.
+// Frames are self-describing, so any decoder reads any frame any encoder
+// produces. The codec advertised in InfoResponse.Codecs is CodecBinary.
 
 import (
 	"bytes"
@@ -53,15 +50,13 @@ import (
 	"bofl/internal/obs"
 )
 
-// Codec and content-type identifiers used by the negotiation layer.
+// Codec and content-type identifiers of the HTTP transport.
 const (
 	// CodecBinary names the binary frame codec in InfoResponse.Codecs.
 	CodecBinary = "bofl-frame-v1"
-	// CodecJSON names the JSON fallback codec.
-	CodecJSON = "json"
 	// ContentTypeBinary is the Content-Type of a binary frame body.
 	ContentTypeBinary = "application/x-bofl-frame"
-	// ContentTypeJSON is the Content-Type of the JSON fallback.
+	// ContentTypeJSON is the Content-Type of info and check-in bodies.
 	ContentTypeJSON = "application/json"
 )
 
@@ -96,9 +91,9 @@ const (
 )
 
 // roundRequestMeta is RoundRequest minus the parameter vector. The trace
-// fields carry the server-minted round trace context in-band, so JSON-only
-// clients (and any transport that strips custom headers) still join the
-// stitched round trace.
+// fields carry the server-minted round trace context in-band, so a daemon
+// behind a transport that strips custom headers still joins the stitched
+// round trace.
 type roundRequestMeta struct {
 	Round    int     `json:"round"`
 	Jobs     int     `json:"jobs"`
@@ -276,26 +271,6 @@ func encodeFrame(w io.Writer, meta any, params, aux []float64) error {
 		return fmt.Errorf("fl: write frame header: %w", err)
 	}
 	return writeVecSection(w, hdr[9:17], len(aux), apayload)
-}
-
-// jsonMarshalMeta marshals a frame metadata section with the size cap applied.
-func jsonMarshalMeta(meta any) ([]byte, error) {
-	mb, err := json.Marshal(meta)
-	if err != nil {
-		return nil, fmt.Errorf("fl: encode frame meta: %w", err)
-	}
-	if len(mb) > maxMetaBytes {
-		return nil, fmt.Errorf("fl: frame meta %d bytes exceeds %d", len(mb), maxMetaBytes)
-	}
-	return mb, nil
-}
-
-// jsonUnmarshalMeta decodes a frame metadata section, tagging damage corrupt.
-func jsonUnmarshalMeta(b []byte, meta any) error {
-	if err := json.Unmarshal(b, meta); err != nil {
-		return fmt.Errorf("%w: decode meta: %w", ErrCorruptFrame, err)
-	}
-	return nil
 }
 
 // firstErr returns the first non-nil error (helper for the two-error gzip close).

@@ -101,7 +101,7 @@ func TestSampleDeadlines(t *testing.T) {
 }
 
 // newTestClient builds a Performant-paced client on a tiny dataset.
-func newTestClient(t *testing.T, id string, seed int64) *Client {
+func newTestClient(t testing.TB, id string, seed int64) *Client {
 	t.Helper()
 	dev := device.JetsonAGX()
 	model, err := ml.NewMLP(8, 8, 4, seed)

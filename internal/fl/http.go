@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -22,17 +21,12 @@ import (
 //	GET  /v1/info           → InfoResponse
 //	POST /v1/round          → RoundRequest ⇒ RoundResponse
 //
-// The round body travels either as JSON (the original wire format, kept as
-// the universal fallback) or as the binary frame defined in codec.go.
-// Negotiation is one round trip and fully backwards compatible:
-//
-//   - The daemon advertises its codecs in InfoResponse.Codecs. An old daemon
-//     omits the field, so a new server falls back to JSON for it.
-//   - The server picks the best mutually supported codec and declares it in
-//     the request's Content-Type; it also sends Accept for the response.
-//   - The daemon decodes by Content-Type and answers in the same codec the
-//     caller asked for, so an old server posting JSON gets JSON back even
-//     from a binary-capable daemon.
+// Info travels as JSON; both round bodies are always one BFL1 frame
+// (codec.go). The daemon advertises CodecBinary in InfoResponse.Codecs and
+// the server refuses, at dial time, a daemon that does not list it. A body
+// that is not a frame is a decode error on either end: the daemon answers
+// 400, the server reports ErrCorruptFrame, and the response decoder's
+// model-size bound applies to every reply.
 //
 // This mirrors the configuration/execution/reporting flow of Figure 1 with a
 // plain stdlib stack.
@@ -44,8 +38,8 @@ type InfoResponse struct {
 	TMinPerJob     float64 `json:"tminPerJobSeconds"`
 	NumExamples    int     `json:"numExamples"`
 	ParamsChecksum int     `json:"paramsChecksum"`
-	// Codecs lists the wire codecs this daemon understands, best first.
-	// Absent on pre-codec daemons, which speak JSON only.
+	// Codecs lists the round codecs this daemon understands; the server
+	// dials only daemons that list CodecBinary.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
@@ -82,7 +76,6 @@ type ClientHandler struct {
 	client       *Client
 	mux          *http.ServeMux
 	sink         obs.Sink
-	jsonOnly     bool
 	noSpanReport bool
 }
 
@@ -95,12 +88,6 @@ func NewClientHandler(c *Client) *ClientHandler {
 	h.mux.HandleFunc("POST /v1/round", h.handleRound)
 	return h
 }
-
-// SetJSONOnly disables the binary codec: the daemon stops advertising it,
-// rejects binary frames and always answers JSON — byte-for-byte the pre-codec
-// wire behaviour. Used as an operational escape hatch (flclient -json-only)
-// and by the cross-compatibility tests to stand in for an old daemon.
-func (h *ClientHandler) SetJSONOnly(on bool) { h.jsonOnly = on }
 
 // SetNoSpanReport opts the daemon out of distributed tracing: incoming trace
 // contexts are dropped at ingress, so local spans carry no trace labels and
@@ -137,36 +124,20 @@ func (h *ClientHandler) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Device:      h.client.dev.Name(),
 		TMinPerJob:  perJob,
 		NumExamples: h.client.NumExamples(),
-	}
-	if !h.jsonOnly {
-		info.Codecs = []string{CodecBinary, CodecJSON}
+		Codecs:      []string{CodecBinary},
 	}
 	writeJSON(w, info)
 }
 
 func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
 	body := &countingReader{r: io.LimitReader(r.Body, 64<<20)}
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-	codec := CodecJSON
-	var req RoundRequest
-	var err error
-	if binaryReq {
-		if h.jsonOnly {
-			h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "codec"))
-			http.Error(w, "binary frames disabled on this daemon", http.StatusUnsupportedMediaType)
-			return
-		}
-		codec = CodecBinary
-		req, err = DecodeRoundRequest(body)
-	} else {
-		err = json.NewDecoder(body).Decode(&req)
-	}
+	req, err := DecodeRoundRequest(body)
 	if err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "decode"))
 		http.Error(w, fmt.Sprintf("decode round request: %v", err), http.StatusBadRequest)
 		return
 	}
-	h.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", codec))
+	h.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
 
 	// Trace-context ingress: the X-Bofl-Trace header wins (it survives even
 	// proxies that re-encode the body); the codec meta fields are the in-band
@@ -189,30 +160,18 @@ func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Answer in the codec the caller used (or explicitly accepts): a JSON
-	// caller must get JSON back even from a binary-capable daemon.
-	respBinary := !h.jsonOnly &&
-		(binaryReq || strings.Contains(r.Header.Get("Accept"), ContentTypeBinary))
 	buf := getBuf()
 	defer putBuf(buf)
-	respCodec := CodecJSON
-	if respBinary {
-		respCodec = CodecBinary
-		err = EncodeRoundResponse(buf, resp)
-		w.Header().Set("Content-Type", ContentTypeBinary)
-	} else {
-		err = json.NewEncoder(buf).Encode(resp)
-		w.Header().Set("Content-Type", ContentTypeJSON)
-	}
-	if err != nil {
+	if err := EncodeRoundResponse(buf, resp); err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "encode"))
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	w.Header().Set("Content-Type", ContentTypeBinary)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		return // headers already sent; nothing more we can do
 	}
-	h.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", respCodec))
+	h.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", CodecBinary))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -230,7 +189,6 @@ type HTTPParticipant struct {
 	perJob  float64
 	client  *http.Client
 	sink    obs.Sink
-	binary  bool
 
 	// attemptTx/attemptRx record the serialized bytes the most recent Round
 	// call moved, for per-attempt ledger attribution. The server calls one
@@ -250,11 +208,6 @@ func (p *HTTPParticipant) lastWire() (tx, rx int64) {
 // failures against the remote daemon, plus wire bytes per codec.
 func (p *HTTPParticipant) SetSink(s obs.Sink) { p.sink = obs.OrNop(s) }
 
-// SetBinary overrides codec negotiation (true forces binary frames, false
-// forces JSON). Normally the choice is made from the daemon's advertised
-// codecs at dial time.
-func (p *HTTPParticipant) SetBinary(on bool) { p.binary = on }
-
 // SetTransport replaces the participant's HTTP round-tripper — the hook the
 // chaos harness uses to wrap the shared keep-alive transport in a
 // faultinject.Transport. The client's timeout is preserved.
@@ -262,13 +215,8 @@ func (p *HTTPParticipant) SetTransport(rt http.RoundTripper) {
 	p.client = &http.Client{Timeout: p.client.Timeout, Transport: rt}
 }
 
-// Codec reports the negotiated round codec.
-func (p *HTTPParticipant) Codec() string {
-	if p.binary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
+// Codec reports the round codec, which is always CodecBinary.
+func (p *HTTPParticipant) Codec() string { return CodecBinary }
 
 // countErr increments the HTTP error counter for the round endpoint.
 func (p *HTTPParticipant) countErr(kind string) {
@@ -277,8 +225,8 @@ func (p *HTTPParticipant) countErr(kind string) {
 
 var _ Participant = (*HTTPParticipant)(nil)
 
-// DialParticipant contacts a client daemon, caches its identity and
-// negotiates the round codec from the daemon's advertised list. All
+// DialParticipant contacts a client daemon, caches its identity and refuses
+// a daemon that does not advertise CodecBinary. All
 // participants share one keep-alive transport, so per-round requests reuse
 // established connections.
 func DialParticipant(baseURL string, timeout time.Duration) (*HTTPParticipant, error) {
@@ -314,13 +262,15 @@ func dialParticipant(ctx context.Context, baseURL string, timeout time.Duration)
 	if info.ClientID == "" || info.TMinPerJob <= 0 {
 		return nil, fmt.Errorf("fl: dial %s: malformed info %+v", baseURL, info)
 	}
+	if !slices.Contains(info.Codecs, CodecBinary) {
+		return nil, fmt.Errorf("fl: dial %s: daemon codecs %q lack %s", baseURL, info.Codecs, CodecBinary)
+	}
 	return &HTTPParticipant{
 		baseURL: baseURL,
 		id:      info.ClientID,
 		perJob:  info.TMinPerJob,
 		client:  hc,
 		sink:    obs.Nop,
-		binary:  slices.Contains(info.Codecs, CodecBinary),
 	}, nil
 }
 
@@ -335,21 +285,14 @@ func (p *HTTPParticipant) TMinFor(jobs int) (float64, error) {
 	return p.perJob * float64(jobs), nil
 }
 
-// Round posts the round request to the daemon in the negotiated codec.
+// Round posts the round request to the daemon as one frame and decodes the
+// reply as one frame.
 func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	p.attemptTx.Store(0)
 	p.attemptRx.Store(0)
 	buf := getBuf()
 	defer putBuf(buf)
-	codec, contentType := CodecJSON, ContentTypeJSON
-	var err error
-	if p.binary {
-		codec, contentType = CodecBinary, ContentTypeBinary
-		err = EncodeRoundRequest(buf, req)
-	} else {
-		err = json.NewEncoder(buf).Encode(req)
-	}
-	if err != nil {
+	if err := EncodeRoundRequest(buf, req); err != nil {
 		return RoundResponse{}, fmt.Errorf("fl: encode round: %w", err)
 	}
 
@@ -357,8 +300,7 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	if err != nil {
 		return RoundResponse{}, fmt.Errorf("fl: round on %s: %w", p.id, err)
 	}
-	hreq.Header.Set("Content-Type", contentType)
-	hreq.Header.Set("Accept", contentType)
+	hreq.Header.Set("Content-Type", ContentTypeBinary)
 	if req.Trace.Valid() {
 		hreq.Header.Set(obs.TraceHeader, req.Trace.String())
 	}
@@ -373,26 +315,19 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return RoundResponse{}, fmt.Errorf("fl: round on %s: %s: %s", p.id, resp.Status, bytes.TrimSpace(msg))
 	}
-	p.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", codec))
+	p.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", CodecBinary))
 	p.attemptTx.Store(int64(buf.Len()))
 
+	// The reply is the client's update to req.Params, so neither of its
+	// vectors can be longer: a frame claiming more, or a body that is not a
+	// frame at all, is refused before it inflates anything.
 	body := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
-	respCodec := CodecJSON
-	var out RoundResponse
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary) {
-		respCodec = CodecBinary
-		// The reply is the client's update to req.Params, so neither of its
-		// vectors can be longer: a frame claiming more is refused before
-		// it inflates anything.
-		out, err = decodeRoundResponse(body, len(req.Params))
-	} else {
-		err = json.NewDecoder(body).Decode(&out)
-	}
+	out, err := decodeRoundResponse(body, len(req.Params))
 	if err != nil {
 		p.countErr("decode")
 		return RoundResponse{}, fmt.Errorf("fl: decode round response: %w", err)
 	}
-	p.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", respCodec))
+	p.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
 	p.attemptRx.Store(body.n)
 	return out, nil
 }

@@ -26,8 +26,8 @@ type RoundRequest struct {
 	Deadline float64   `json:"deadlineSeconds"`
 	// Trace is the server-minted trace context for this dispatch: the round
 	// trace ID plus the per-attempt span the client's work hangs under. It
-	// rides both the X-Bofl-Trace header and the codec meta section, so every
-	// negotiated codec path carries it.
+	// rides both the X-Bofl-Trace header and the frame meta section, so a
+	// transport that strips custom headers still carries it.
 	Trace obs.TraceContext `json:"trace"`
 	// Alg names the round's aggregation protocol (empty means AlgFedAvg);
 	// clients adjust their local objective accordingly.

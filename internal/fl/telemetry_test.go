@@ -83,7 +83,7 @@ func TestParticipantNon2xx(t *testing.T) {
 	tel := obs.New(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, InfoResponse{ClientID: "bad", TMinPerJob: 0.1, NumExamples: 10})
+		writeJSON(w, InfoResponse{ClientID: "bad", TMinPerJob: 0.1, NumExamples: 10, Codecs: []string{CodecBinary}})
 	})
 	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
@@ -112,7 +112,7 @@ func TestParticipantTimeoutMidRound(t *testing.T) {
 	tel := obs.New(nil)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, InfoResponse{ClientID: "hang", TMinPerJob: 0.1, NumExamples: 10})
+		writeJSON(w, InfoResponse{ClientID: "hang", TMinPerJob: 0.1, NumExamples: 10, Codecs: []string{CodecBinary}})
 	})
 	hung := make(chan struct{})
 	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {

@@ -15,10 +15,9 @@ package fl
 // Spine is the only code that folds a tree: the server drives one per round,
 // and the fleet simulator drives one per shard plus a merge spine over the
 // shard sums. Every group close merges the child's limbs straight into the
-// parent (exact.Vec.AddVec): no byte leaves the process, so no frame is
-// built. The partial event still prices the transfer at the limb payload a
-// BFL1 partial-aggregate frame (codec_partial.go) would carry across a
-// process edge.
+// parent (exact.Vec.AddVec): there is no frame between tiers. The partial
+// event still prices the transfer at the child's limb payload,
+// (hi−lo)·dim·8 bytes for an accumulator window of planes [lo, hi).
 //
 // Per-tier quorum composes with the round-level machinery: a group whose
 // surviving children fall below ⌈TierQuorum · children⌉ is discarded whole

@@ -7,8 +7,6 @@ package fl
 // shape cannot change a single bit.
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -151,8 +149,8 @@ func TestTreePartialMergeProperty(t *testing.T) {
 			flatSum := make([]float64, dim)
 			flat.RoundTo(flatSum)
 
-			// Tiered fold: leaves → fanout-sized partials → one root, merged
-			// through the serialized wire form.
+			// Tiered fold: leaves → fanout-sized partials → one root, each
+			// partial merged through its snapshot, as a fleet shard is.
 			root := exact.NewVec(dim)
 			var rootW int64
 			for lo := 0; lo < leaves; lo += fanout {
@@ -166,20 +164,10 @@ func TestTreePartialMergeProperty(t *testing.T) {
 					part.AddScaled(float64(weights[i]), updates[i])
 					w += weights[i]
 				}
-				var buf bytes.Buffer
-				pa := PartialAggregate{Round: 1, LeafLo: lo, LeafHi: hi - 1,
-					Survivors: hi - lo, Weight: w, Sum: part.Serialize()}
-				if err := EncodePartialAggregate(&buf, pa); err != nil {
+				if err := root.Absorb(part.Serialize()); err != nil {
 					t.Fatal(err)
 				}
-				dec, err := DecodePartialAggregate(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := root.Absorb(dec.Sum); err != nil {
-					t.Fatal(err)
-				}
-				rootW += dec.Weight
+				rootW += w
 			}
 			rootSum := make([]float64, dim)
 			root.RoundTo(rootSum)
@@ -431,150 +419,6 @@ func TestShardedSpineMatchesOneSpine(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPartialFrameRejectedByRoundDecoders pins the codec boundary: a partial
-// frame must be ErrCorruptFrame to both round decoders, and a round frame
-// must be rejected by the partial decoder.
-func TestPartialFrameRejectedByRoundDecoders(t *testing.T) {
-	v := exact.NewVec(3)
-	v.Add([]float64{1, 2, 3})
-	var buf bytes.Buffer
-	if err := EncodePartialAggregate(&buf, PartialAggregate{Round: 1, Weight: 2, Sum: v.Serialize()}); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	if _, err := DecodeRoundRequest(bytes.NewReader(frame)); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("round request decoder accepted a partial frame: %v", err)
-	}
-	if _, err := DecodeRoundResponse(bytes.NewReader(frame)); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("round response decoder accepted a partial frame: %v", err)
-	}
-	var rbuf bytes.Buffer
-	if err := EncodeRoundRequest(&rbuf, RoundRequest{Round: 1, Params: []float64{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodePartialAggregate(&rbuf); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("partial decoder accepted a round frame: %v", err)
-	}
-}
-
-// TestPartialAggregateRoundTrip pins the partial frame as the format a
-// multi-process tier would move: the full metadata survives the round trip,
-// and — over randomized accumulators — Encode → Decode → Absorb into a parent
-// leaves the parent bit-identical to merging the child in process with
-// AddVec: same limbs, window and Adds, and the same RoundTo output. The
-// accumulators cover empty, single-limb, narrow and wide windows (wide ones
-// reaching the subnormal range and the gzip payload path), mixed signs, and
-// NaN/±Inf specials with and without finite limbs.
-func TestPartialAggregateRoundTrip(t *testing.T) {
-	v := exact.NewVec(4)
-	v.AddScaled(3, []float64{1e-300, 2, -5e200, math.Inf(1)})
-	v.AddScaled(2, []float64{4, -2, 1e-10, 7})
-	pa := PartialAggregate{
-		Round: 7, Tier: 2, Node: 5, LeafLo: 128, LeafHi: 191,
-		Survivors: 60, Weight: 12345, Sum: v.Serialize(),
-		Trace: obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "0123456789abcdef"},
-	}
-	var buf bytes.Buffer
-	if err := EncodePartialAggregate(&buf, pa); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodePartialAggregate(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Round != 7 || dec.Tier != 2 || dec.Node != 5 || dec.LeafLo != 128 ||
-		dec.LeafHi != 191 || dec.Survivors != 60 || dec.Weight != 12345 || dec.Trace != pa.Trace {
-		t.Fatalf("meta mismatch: %+v", dec)
-	}
-
-	kinds := []string{"empty", "single-limb", "narrow", "wide", "specials", "specials-only"}
-	rng := rand.New(rand.NewSource(20261017))
-	for trial := 0; trial < 60; trial++ {
-		kind := kinds[trial%len(kinds)]
-		dim := 1 + rng.Intn(48)
-		if trial%12 == 3 {
-			dim = 256 // a wide window of this dim crosses the gzip threshold
-		}
-		parentKind := kinds[rng.Intn(len(kinds))]
-		childSeed, parentSeed := rng.Int63(), rng.Int63()
-		child := randomAcc(childSeed, kind, dim)
-		label := fmt.Sprintf("trial %d (%s child into %s parent, dim %d)", trial, kind, parentKind, dim)
-
-		buf.Reset()
-		pa := PartialAggregate{Round: 1, Tier: 0, Node: trial, Weight: int64(trial + 1), Sum: child.Serialize()}
-		if err := EncodePartialAggregate(&buf, pa); err != nil {
-			t.Fatalf("%s: encode: %v", label, err)
-		}
-		dec, err := DecodePartialAggregate(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", label, err)
-		}
-		framed := randomAcc(parentSeed, parentKind, dim)
-		if err := framed.Absorb(dec.Sum); err != nil {
-			t.Fatalf("%s: absorb: %v", label, err)
-		}
-		direct := randomAcc(parentSeed, parentKind, dim)
-		if err := direct.AddVec(child); err != nil {
-			t.Fatal(err)
-		}
-
-		fs, ds := framed.Serialize(), direct.Serialize()
-		if fs.Lo != ds.Lo || fs.Hi != ds.Hi || fs.Adds != ds.Adds {
-			t.Fatalf("%s: framed window [%d,%d) adds %d, direct [%d,%d) adds %d",
-				label, fs.Lo, fs.Hi, fs.Adds, ds.Lo, ds.Hi, ds.Adds)
-		}
-		if !slices.Equal(fs.Limbs, ds.Limbs) || !bytes.Equal(fs.Specials, ds.Specials) {
-			t.Fatalf("%s: framed limbs or specials differ from direct merge", label)
-		}
-		got, want := make([]float64, dim), make([]float64, dim)
-		framed.RoundTo(got)
-		direct.RoundTo(want)
-		bitwiseEqual(t, label, got, want)
-	}
-}
-
-// randomAcc builds a seeded accumulator of the given window kind.
-func randomAcc(seed int64, kind string, dim int) *exact.Vec {
-	rng := rand.New(rand.NewSource(seed))
-	v := exact.NewVec(dim)
-	x := make([]float64, dim)
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	switch kind {
-	case "empty":
-	case "single-limb":
-		// One limb plane of mixed-sign digits, as a remote tier could ship.
-		lo := rng.Intn(60)
-		s := exact.Serialized{Dim: dim, Lo: lo, Hi: lo + 1, Adds: 1 + rng.Int63n(8), Limbs: make([]uint64, dim)}
-		for i := range s.Limbs {
-			s.Limbs[i] = uint64(rng.Int63n(1<<33) - 1<<32)
-		}
-		if err := v.Absorb(s); err != nil {
-			panic(err)
-		}
-	case "specials-only":
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			clear(x)
-			x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
-			v.Add(x)
-		}
-	default:
-		for k := 0; k < 1+rng.Intn(20); k++ {
-			for i := range x {
-				e := rng.Intn(8) - 4
-				if kind == "wide" {
-					e = rng.Intn(1900) - 1070 // subnormal products up to ~2^830
-				}
-				x[i] = rng.NormFloat64() * math.Ldexp(1, e)
-			}
-			if kind == "specials" {
-				x[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
-			}
-			v.AddScaled(float64(1+rng.Intn(100)), x)
-		}
-	}
-	return v
 }
 
 // TestTreeConfigValidation pins NewServer's tree validation.

@@ -3,8 +3,8 @@
 // (device.Population) through the hierarchical aggregation tree in *virtual*
 // time (simclock.Sim): every client's round — downlink, local training,
 // uplink — is priced from its sampled fleet profile, partial sums climb the
-// tree as direct exact merges (each priced, not performed, as the BFL1
-// partial-aggregate frame a distributed tier would ship), and the round's
+// tree as direct exact merges with no frame between tiers (each priced at
+// its limb payload, (hi−lo)·dim·8 bytes of its window), and the round's
 // wall time is the slowest surviving path to the root, not the machine the
 // simulator runs on.
 //
@@ -198,8 +198,8 @@ type RoundStats struct {
 	DeadlineMisses    int
 	SubtreeDrops      int
 	SubtreeDropLeaves int
-	// Tree traffic: partials forwarded tier-to-tier and their limb payload
-	// bytes — what the partial frames would carry between processes.
+	// Tree traffic: partials merged tier-to-tier and their priced limb
+	// payload bytes, (hi−lo)·dim·8 per partial; nothing is encoded.
 	Partials  int
 	WireBytes int64
 	// TotalWeight is the committed integer example weight.
