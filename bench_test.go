@@ -464,7 +464,7 @@ func BenchmarkILPSolve(b *testing.B) {
 // The default benchmark runs the no-op sink (the production default); the
 // Live variant quantifies the full-telemetry cost — BENCH snapshots compare
 // the two to enforce the <2% NopSink-overhead budget.
-func benchMBOSuggestBatch(b *testing.B, sink obs.Sink, prescreen bool) {
+func benchMBOSuggestBatch(b *testing.B, sink obs.Sink) {
 	dev := device.JetsonAGX()
 	space := dev.Space()
 	candidates := make([][]float64, space.Size())
@@ -486,7 +486,7 @@ func benchMBOSuggestBatch(b *testing.B, sink obs.Sink, prescreen bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opt, err := mobo.NewOptimizer(candidates, mobo.Options{Seed: int64(i), Restarts: 2, Iters: 5, Float32Prescreen: prescreen})
+		opt, err := mobo.NewOptimizer(candidates, mobo.Options{Seed: int64(i), Restarts: 2, Iters: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,17 +508,14 @@ func benchMBOSuggestBatch(b *testing.B, sink obs.Sink, prescreen bool) {
 	reportPoolStats(b, poolBefore)
 }
 
-// The headline acquisition benchmark runs the production-recommended fast
-// configuration (float32 pre-screen on; selections stay bit-identical to the
-// float64 scan, enforced by TestFloat32PrescreenMatchesFloat64). The F64
-// variant scores every candidate with exact float64 arithmetic and isolates
-// the pre-screen's contribution.
-func BenchmarkMBOSuggestBatch(b *testing.B) { benchMBOSuggestBatch(b, obs.Nop, true) }
-
-func BenchmarkMBOSuggestBatchF64(b *testing.B) { benchMBOSuggestBatch(b, obs.Nop, false) }
+// BenchmarkMBOSuggestBatch is the headline acquisition benchmark: one
+// 10-pick batch selection, float32 pre-screen included (its selections are
+// bit-identical to a pure float64 scan, enforced by mobo's
+// TestSuggestBatchMatchesFloat64Reference).
+func BenchmarkMBOSuggestBatch(b *testing.B) { benchMBOSuggestBatch(b, obs.Nop) }
 
 func BenchmarkMBOSuggestBatchLive(b *testing.B) {
-	benchMBOSuggestBatch(b, obs.NewBoFL(obs.Real{}), true)
+	benchMBOSuggestBatch(b, obs.NewBoFL(obs.Real{}))
 }
 
 func mustConfig(b *testing.B, s device.Space, i int) device.Config {

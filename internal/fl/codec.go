@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"bofl/internal/core"
@@ -85,7 +86,9 @@ const (
 	gzipThreshold = 64 << 10
 
 	// Decoder sanity caps: a frame that claims more is rejected before any
-	// allocation, so truncated or hostile inputs cannot balloon memory.
+	// allocation. Below them, payload buffers grow with the bytes that
+	// arrive (readPayload), so truncated or hostile inputs cannot balloon
+	// memory either.
 	maxMetaBytes   = 1 << 20
 	maxFrameParams = 1 << 26
 )
@@ -281,9 +284,37 @@ func firstErr(a, b error) error {
 	return b
 }
 
+// payloadChunk is the buffer a payload read starts from when the pooled
+// slice is smaller than the declared length; the buffer then doubles as
+// bytes arrive.
+const payloadChunk = 1 << 20
+
+// readPayload reads exactly n bytes from r into a pooled slice (release it
+// with putBytes, also on error). The slice grows only as bytes arrive, so a
+// length field that lies costs the decoder about what the sender actually
+// sent, not what it claimed.
+func readPayload(r io.Reader, n int) (*[]byte, error) {
+	p := bytesPool.Get().(*[]byte)
+	buf := (*p)[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), payloadChunk), n-len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			*p = buf
+			return p, err
+		}
+	}
+	*p = buf
+	return p, nil
+}
+
 // readVec reads one vector section (count, payload length, payload) under
 // the given section flags, validating every declared length — count against
-// limit — before any allocation.
+// limit — before reading, and growing its buffers only with the bytes that
+// arrive.
 func readVec(r io.Reader, flags byte, limit int) ([]float64, error) {
 	var tail [8]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
@@ -309,9 +340,9 @@ func readVec(r io.Reader, flags byte, limit int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
 	}
 
-	payload := getBytes(int(payloadLen))
+	payload, err := readPayload(r, int(payloadLen))
 	defer putBytes(payload)
-	if _, err := io.ReadFull(r, *payload); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
 	}
 
@@ -325,9 +356,9 @@ func readVec(r io.Reader, flags byte, limit int) ([]float64, error) {
 		if err := zr.Reset(bytes.NewReader(*payload)); err != nil {
 			return nil, fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
 		}
-		inflated := getBytes(rawLen)
+		inflated, err := readPayload(zr, rawLen)
 		defer putBytes(inflated)
-		if _, err := io.ReadFull(zr, *inflated); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
 		}
 		var one [1]byte
@@ -413,8 +444,14 @@ func EncodeRoundRequest(w io.Writer, req RoundRequest) error {
 // faithfully (the codec roundtrips whatever was framed); ingress validation
 // against hostile values is the handler's job via TraceContext.Sanitized.
 func DecodeRoundRequest(r io.Reader) (RoundRequest, error) {
+	return decodeRoundRequest(r, maxFrameParams)
+}
+
+// decodeRoundRequest reads one binary frame from r whose params and aux
+// hold at most limit values each.
+func decodeRoundRequest(r io.Reader, limit int) (RoundRequest, error) {
 	var meta roundRequestMeta
-	params, aux, err := decodeFrame(r, &meta, maxFrameParams)
+	params, aux, err := decodeFrame(r, &meta, limit)
 	if err != nil {
 		return RoundRequest{}, err
 	}

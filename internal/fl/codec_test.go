@@ -657,6 +657,84 @@ func inflationBombFrame(t *testing.T, claimed int) []byte {
 	return f.Bytes()
 }
 
+// lyingFrame is a round-request frame whose header claims count params in
+// a payload of payloadLen bytes under flags, followed by the given payload
+// bytes only.
+func lyingFrame(flags byte, count, payloadLen uint32, payload []byte) []byte {
+	meta := []byte(`{"round":1}`)
+	var f bytes.Buffer
+	f.Write(frameMagic[:])
+	f.WriteByte(flags)
+	binary.Write(&f, binary.LittleEndian, uint32(len(meta)))
+	f.Write(meta)
+	binary.Write(&f, binary.LittleEndian, count)
+	binary.Write(&f, binary.LittleEndian, payloadLen)
+	f.Write(payload)
+	return f.Bytes()
+}
+
+// TestRoundRequestBoundedByBytesReceived: a round request whose header
+// claims 2^26 params (512 MiB) but carries no payload — 28 bytes in all —
+// costs the daemon no memory, a daemon decodes no more params than its
+// model has, and the frame decoder grows its buffers only with the bytes
+// that arrive, for plain and gzip payloads alike.
+func TestRoundRequestBoundedByBytesReceived(t *testing.T) {
+	const claimed = 1 << 26
+	lie := lyingFrame(0, claimed, claimed*8, nil)
+	if len(lie) != 28 {
+		t.Fatalf("lying frame is %d bytes, want 28", len(lie))
+	}
+	var member bytes.Buffer
+	zw := gzip.NewWriter(&member)
+	zw.Write(make([]byte, 64))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gzipLie := lyingFrame(flagGzip, claimed, uint32(member.Len()), member.Bytes())
+	h := NewClientHandler(newTestClient(t, "bounded", 46))
+
+	const budget = 16 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if d := allocated(func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/round", bytes.NewReader(lie)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("daemon answered %d to the lying frame, want 400", rec.Code)
+		}
+	}); d >= budget {
+		t.Errorf("daemon allocated %d MiB refusing a 28-byte request", d>>20)
+	}
+	// A complete frame one param longer than the daemon's model is refused
+	// at decode, before the round runs.
+	var over bytes.Buffer
+	if err := EncodeRoundRequest(&over, RoundRequest{Round: 1, Params: make([]float64, h.client.Model().NumParams()+1), Jobs: 1, Deadline: 60}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/round", &over))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "decode round request") {
+		t.Errorf("frame longer than the model: status %d, body %q; want 400 from the decoder", rec.Code, rec.Body)
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{{"plain", lie}, {"gzip", gzipLie}} {
+		if d := allocated(func() {
+			if _, err := DecodeRoundRequest(bytes.NewReader(c.frame)); !errors.Is(err, ErrCorruptFrame) {
+				t.Errorf("%s: err %v, want ErrCorruptFrame", c.name, err)
+			}
+		}); d >= budget {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d MiB", c.name, len(c.frame), d>>20)
+		}
+	}
+}
+
 // TestRoundResponseBoundedByModel: a client that answers a 16-param round
 // with more than 16 params is refused as a corrupt frame before anything is
 // inflated or allocated, whatever it claims the body is. The inputs are a

@@ -130,8 +130,10 @@ func (h *ClientHandler) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
+	// A round can only carry this daemon's model, so a frame claiming more
+	// parameters is refused before any payload is read.
 	body := &countingReader{r: io.LimitReader(r.Body, 64<<20)}
-	req, err := DecodeRoundRequest(body)
+	req, err := decodeRoundRequest(body, h.client.Model().NumParams())
 	if err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "decode"))
 		http.Error(w, fmt.Sprintf("decode round request: %v", err), http.StatusBadRequest)

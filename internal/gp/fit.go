@@ -30,16 +30,21 @@ type HyperOptions struct {
 
 // fitWS is the per-restart hyperparameter-search workspace: every
 // log-marginal-likelihood probe reuses the same Gram/factor matrix, solve
-// vectors, kernel structs and parameter buffers, so a full coordinate
-// descent allocates nothing per probe. Pooled across restarts and calls.
+// vectors, lengthscale and parameter buffers, so a full coordinate descent
+// allocates nothing per probe. Pooled across restarts and calls.
+//
+// acc holds the Gram factors (gramFactor) of the accepted lengthscales, so a
+// variance or noise probe, and every jitter retry, rebuilds the Gram without
+// one exp. A lengthscale probe fills probe instead; the two slabs swap when
+// the probe is accepted.
 type fitWS struct {
-	chol  *Matrix
-	sy    []float64
-	alpha []float64
-	mat   Matern52
-	rbf   RBF
-	p     []float64
-	cand  []float64
+	chol       *Matrix
+	sy         []float64
+	alpha      []float64
+	ls         []float64
+	p          []float64
+	cand       []float64
+	acc, probe []gramFactor
 }
 
 var fitWSPool sync.Pool
@@ -58,12 +63,16 @@ func getFitWS(n, dim, nparams int) *fitWS {
 		ws.sy = make([]float64, n)
 		ws.alpha = make([]float64, n)
 	}
-	if cap(ws.mat.Lengthscales) < dim {
-		ws.mat.Lengthscales = make([]float64, dim)
-		ws.rbf.Lengthscales = make([]float64, dim)
+	npairs := n * (n - 1) / 2
+	if cap(ws.acc) < npairs {
+		ws.acc = make([]gramFactor, npairs)
+		ws.probe = make([]gramFactor, npairs)
 	}
-	ws.mat.Lengthscales = ws.mat.Lengthscales[:dim]
-	ws.rbf.Lengthscales = ws.rbf.Lengthscales[:dim]
+	ws.acc, ws.probe = ws.acc[:npairs], ws.probe[:npairs]
+	if cap(ws.ls) < dim {
+		ws.ls = make([]float64, dim)
+	}
+	ws.ls = ws.ls[:dim]
 	if cap(ws.p) < nparams {
 		ws.p = make([]float64, nparams)
 		ws.cand = make([]float64, nparams)
@@ -75,14 +84,15 @@ func getFitWS(n, dim, nparams int) *fitWS {
 
 func putFitWS(ws *fitWS) { fitWSPool.Put(ws) }
 
-// fitLL evaluates the log marginal likelihood of (xs, ys) under the given
-// kernel and noise without constructing a Regressor: the same
-// standardization, Gram build, jitter ladder and triangular solves as Fit,
-// into the workspace's reused buffers. Returns −Inf when the Gram matrix is
-// not positive definite even after jittering — exactly the cases where Fit
-// would fail. Bit-identical to Fit followed by LogMarginalLikelihood.
-func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS) float64 {
-	n := len(xs)
+// fitLL evaluates the log marginal likelihood of ys under the kernel whose
+// Gram factors over the inputs are f, at signal variance v and noise,
+// without constructing a Regressor: the same standardization, Gram values,
+// jitter ladder and triangular solves as Fit, into the workspace's reused
+// buffers. Returns −Inf when the Gram matrix is not positive definite even
+// after jittering — exactly the cases where Fit would fail. Bit-identical to
+// Fit followed by LogMarginalLikelihood.
+func fitLL(f []gramFactor, v, noise float64, ys []float64, ws *fitWS) float64 {
+	n := len(ys)
 	mean, std := standardizeParams(ys)
 	sy := ws.sy[:n]
 	for i, y := range ys {
@@ -90,13 +100,13 @@ func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS
 	}
 
 	chol := ws.chol
-	gramLowerInto(kernel, xs, noise, chol)
+	gramFromFactors(f, v, noise, n, chol)
 	err := CholeskyInPlace(chol)
 	jitter, cumJitter := 1e-10, 0.0
 	for attempt := 0; err != nil && attempt < 7; attempt++ {
 		cumJitter += jitter
 		jitter *= 10
-		gramLowerInto(kernel, xs, noise, chol)
+		gramFromFactors(f, v, noise, n, chol)
 		for i := 0; i < n; i++ {
 			chol.Set(i, i, chol.At(i, i)+cumJitter)
 		}
@@ -127,6 +137,9 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 	if len(xs) == 0 {
 		return nil, ErrNoData
 	}
+	if len(xs) != len(ys) {
+		return nil, fmt.Errorf("gp: %d inputs but %d targets", len(xs), len(ys))
+	}
 	restarts := opts.Restarts
 	if restarts <= 0 {
 		restarts = 8
@@ -148,18 +161,19 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 	}
 	lower[nparams-1], upper[nparams-1] = math.Log(1e-4), math.Log(0.5) // noise
 
-	// paramsOf decodes a log-space parameter vector: fills ls with the
-	// lengthscales and returns variance and noise. Clamped log-space values
+	// lengthscalesInto decodes the lengthscales of a log-space parameter
+	// vector into ls; noiseOf decodes its noise. Clamped log-space values
 	// are always strictly positive, so no validation is needed.
-	paramsOf := func(p, ls []float64) (variance, noise float64) {
+	lengthscalesInto := func(p, ls []float64) {
 		for i := range ls {
 			ls[i] = math.Exp(p[1+i])
 		}
-		noise = math.Exp(p[nparams-1])
+	}
+	noiseOf := func(p []float64) float64 {
 		if opts.FixedNoise > 0 {
-			noise = opts.FixedNoise
+			return opts.FixedNoise
 		}
-		return math.Exp(p[0]), noise
+		return math.Exp(p[nparams-1])
 	}
 
 	// Starting points are drawn serially up front (restart 0 keeps the
@@ -193,23 +207,16 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 	parallel.For(restarts, func(restart int) {
 		ws := getFitWS(len(xs), opts.Dim, nparams)
 		defer putFitWS(ws)
-		evalLL := func(p []float64) float64 {
-			var k Kernel
-			var noise float64
-			if opts.UseRBF {
-				ws.rbf.Variance, noise = paramsOf(p, ws.rbf.Lengthscales)
-				k = &ws.rbf
-			} else {
-				ws.mat.Variance, noise = paramsOf(p, ws.mat.Lengthscales)
-				k = &ws.mat
-			}
-			return fitLL(k, noise, xs, ys, ws)
-		}
+		acc, probe := ws.acc, ws.probe
 		p := ws.p
 		copy(p, starts[restart])
 		cand := ws.cand
-		ll := evalLL(p)
-		// Coordinate descent with shrinking step size.
+		lengthscalesInto(p, ws.ls)
+		gramFactorsInto(ws.ls, opts.UseRBF, xs, acc)
+		ll := fitLL(acc, math.Exp(p[0]), noiseOf(p), ys, ws)
+		// Coordinate descent with shrinking step size. Only a lengthscale
+		// probe changes the Gram factors; variance and noise probes reuse
+		// the accepted ones.
 		step := 1.0
 		for it := 0; it < iters; it++ {
 			improved := false
@@ -217,16 +224,26 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 				if opts.FixedNoise > 0 && i == nparams-1 {
 					continue
 				}
+				lengthscale := i >= 1 && i <= opts.Dim
 				for _, dir := range [2]float64{1, -1} {
 					copy(cand, p)
 					cand[i] = clamp(cand[i]+dir*step, lower[i], upper[i])
 					if cand[i] == p[i] {
 						continue
 					}
-					if ll2 := evalLL(cand); ll2 > ll {
+					f := acc
+					if lengthscale {
+						lengthscalesInto(cand, ws.ls)
+						gramFactorsInto(ws.ls, opts.UseRBF, xs, probe)
+						f = probe
+					}
+					if ll2 := fitLL(f, math.Exp(cand[0]), noiseOf(cand), ys, ws); ll2 > ll {
 						p, cand = cand, p
 						ll = ll2
 						improved = true
+						if lengthscale {
+							acc, probe = probe, acc
+						}
 					}
 				}
 			}
@@ -255,19 +272,21 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 	}
 	// One final Fit of the winning parameters; Fit is deterministic, so
 	// this is the exact model the winning probe evaluated.
+	best := starts[bestRestart]
 	ls := make([]float64, opts.Dim)
-	variance, noise := paramsOf(starts[bestRestart], ls)
+	lengthscalesInto(best, ls)
+	variance, noise := math.Exp(best[0]), noiseOf(best)
 	var k Kernel
 	if opts.UseRBF {
 		k = &RBF{Variance: variance, Lengthscales: ls}
 	} else {
 		k = &Matern52{Variance: variance, Lengthscales: ls}
 	}
-	best, err := Fit(k, noise, xs, ys)
+	r, err := Fit(k, noise, xs, ys)
 	if err != nil {
 		return nil, fmt.Errorf("gp: refit of selected hyperparameters: %w", err)
 	}
-	return best, nil
+	return r, nil
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -224,6 +224,58 @@ func gramLowerInto(k Kernel, xs [][]float64, noise float64, m *Matrix) {
 	}
 }
 
+// gramFactor is one strictly-lower Gram entry k(x_i, x_j) = v·poly·e split
+// into its lengthscale-only factors: poly = 1 + √5r + 5r²/3 and e = e^{−√5r}
+// for Matérn-5/2, poly = 1 and e = e^{−r²/2} for RBF.
+type gramFactor struct{ poly, e float64 }
+
+// gramFactorsInto fills f[i(i−1)/2+j] (j < i) with the factors of the
+// Matérn-5/2 (or, with rbf set, RBF) Gram of xs at lengthscales ls, using
+// gramLowerInto's reciprocal-lengthscale arithmetic. f must have length
+// ≥ n(n−1)/2.
+func gramFactorsInto(ls []float64, rbf bool, xs [][]float64, f []gramFactor) {
+	var ilsBuf [maxStackDim]float64
+	ils := reciprocalsInto(ls, ilsBuf[:])
+	idx := 0
+	for i := 1; i < len(xs); i++ {
+		xi := xs[i]
+		for j := 0; j < i; j++ {
+			xj := xs[j]
+			r2 := 0.0
+			for d := range ils {
+				dd := (xi[d] - xj[d]) * ils[d]
+				r2 += dd * dd
+			}
+			if rbf {
+				f[idx] = gramFactor{poly: 1, e: math.Exp(-0.5 * r2)}
+			} else {
+				r := math.Sqrt(r2)
+				s5r := math.Sqrt(5) * r
+				f[idx] = gramFactor{poly: 1 + s5r + 5*r2/3, e: math.Exp(-s5r)}
+			}
+			idx++
+		}
+	}
+}
+
+// gramFromFactors is gramLowerInto for the n points whose factors f holds,
+// at signal variance v: it fills the lower triangle of m with (v·poly)·e —
+// gramLowerInto's evaluation order, and v·1 = v exactly for RBF — so the
+// matrix is bit-identical to gramLowerInto's with no exp at all.
+func gramFromFactors(f []gramFactor, v, noise float64, n int, m *Matrix) {
+	data, stride := m.Data, m.Cols
+	diag := noise * noise
+	idx := 0
+	for i := 0; i < n; i++ {
+		row := data[i*stride : i*stride+i+1]
+		for j, fj := range f[idx : idx+i] {
+			row[j] = v * fj.poly * fj.e
+		}
+		idx += i
+		row[i] = v + diag
+	}
+}
+
 // kernel1 evaluates a single covariance k(x, y) with the same reciprocal-
 // lengthscale arithmetic as the sweeps, so mixing single evaluations with row
 // sweeps stays bit-consistent.

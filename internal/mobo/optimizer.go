@@ -35,12 +35,6 @@ type Options struct {
 	Iters    int
 	// UseRBF switches the surrogate kernel (ablation).
 	UseRBF bool
-	// Float32Prescreen enables the float32 fast path for the EHVI candidate
-	// scan: candidates are scored with cheap float32 approximations first
-	// and only the top slice is re-scored with exact float64 arithmetic, so
-	// the selected candidates are bit-identical to the pure-float64 scan
-	// (see ehvi32.go for the soundness argument).
-	Float32Prescreen bool
 }
 
 // Optimizer is a multi-objective Bayesian optimizer over a fixed, finite
@@ -251,12 +245,26 @@ type Suggestion struct {
 // strategy). Fewer than k suggestions are returned when the unobserved pool
 // or the acquisition signal is exhausted.
 //
-// The candidate scan fans out over the shared worker pool using the
-// per-candidate cross-covariance caches (kernel work is done once per Fit,
-// then extended by one kernel evaluation per fantasy), and the reduction is
-// serial with an explicit lowest-index-wins rule on equal EHVI — parallel
-// and serial scans return identical suggestions.
+// The candidate scan (prescreenScan) fans out over the shared worker pool
+// using the per-candidate cross-covariance caches (kernel work is done once
+// per Fit, then extended by one kernel evaluation per fantasy): a float32
+// pass narrows exact float64 scoring to the candidates that can win. The
+// reduction is serial with an explicit lowest-index-wins rule on equal EHVI
+// — parallel and serial scans return identical suggestions, and they equal
+// those of a pure float64 scan bit for bit.
 func (o *Optimizer) SuggestBatch(k int) ([]Suggestion, error) {
+	return o.suggestBatch(k, prescreenScan)
+}
+
+// scanFunc scores one pick's live candidates: afterwards sc.vals holds the
+// exact float64 EHVI, and sc.gs the raw-space posterior, of every live
+// candidate that can win the pick, and every other live slot of sc.vals
+// holds a value below all exact scores.
+type scanFunc func(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache)
+
+// suggestBatch is SuggestBatch with the candidate scan as a parameter, so
+// tests can replay a batch selection under the pure float64 reference scan.
+func (o *Optimizer) suggestBatch(k int, scan scanFunc) ([]Suggestion, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -310,17 +318,10 @@ func (o *Optimizer) SuggestBatch(k int) ([]Suggestion, error) {
 		// every candidate in O(n) instead of re-sorting per candidate.
 		strips := NewEHVIStrips(front, ref)
 		// Concurrent scan: every live candidate's posterior and EHVI land
-		// in per-index slots; no cross-worker state. The optional float32
-		// pre-screen narrows the exact float64 scoring to the top slice;
-		// either way vals holds exact float64 scores for every candidate
-		// that can win, so the serial reduction below is unaffected.
-		if o.opts.Float32Prescreen {
-			o.prescreenScan(sc, strips, cacheE, cacheT)
-		} else {
-			parallel.ForChunk(len(o.candidates), func(lo, hi int) {
-				scanEHVI(strips, cacheE, cacheT, live, vals, gs, lo, hi)
-			})
-		}
+		// in per-index slots; no cross-worker state. vals holds exact
+		// float64 scores for every candidate that can win, so the serial
+		// reduction below sees exact values.
+		scan(sc, strips, cacheE, cacheT)
 		// Serial reduction, lowest candidate index wins on equal EHVI
 		// (including the all-zero-EHVI regime near pool exhaustion).
 		bestIdx, bestVal := -1, 0.0
@@ -391,18 +392,20 @@ func scanEHVI(strips *EHVIStrips, cacheE, cacheT *gp.KStarCache, live []bool, va
 }
 
 // prescreenMin is the smallest float32 acquisition maximum the pre-screen
-// trusts. Below it the batch is deep into acquisition exhaustion, where
-// float32 resolution near zero could reorder candidates, so the scan falls
-// back to exact float64 for every candidate — that regime is cheap anyway.
+// trusts, as a fraction of the reference box. Below it the batch is deep
+// into acquisition exhaustion, where float32 resolution near zero could
+// reorder candidates, so the scan falls back to exact float64 for every
+// candidate — that regime is cheap anyway.
 const prescreenMin = 1e-12
 
-// prescreenScan is the float32-pre-screened candidate scan: a cheap
-// approximate pass over all live candidates, then exact float64 re-scoring
-// of the slice whose approximate score is within half of the approximate
-// maximum. Candidates outside the slice get a sentinel below every exact
-// score, so the caller's reduction sees exact values wherever the winner can
-// be. See ehvi32.go for why the winner is always inside the slice.
-func (o *Optimizer) prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache) {
+// prescreenScan is the candidate scan (a scanFunc): a cheap float32 pass
+// over all live candidates, then exact float64 re-scoring of the slice whose
+// approximate score is within half of the approximate maximum, or that
+// float32 cannot score. Candidates outside the slice get a sentinel below
+// every exact score, so the caller's reduction sees exact values wherever
+// the winner can be. See ehvi32.go for why the winner is always inside the
+// slice.
+func prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache) {
 	vals, gs, live, vals32 := sc.vals, sc.gs, sc.live, sc.vals32
 	sc.s32.fill(strips)
 	s32 := &sc.s32
@@ -413,10 +416,11 @@ func (o *Optimizer) prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, c
 			}
 			muE, sE := cacheE.Predict(i)
 			muT, sT := cacheT.Predict(i)
-			mx, sx, my, sy := lognormalMoments32(float32(muE), float32(sE), float32(muT), float32(sT))
-			vals32[i] = s32.value(mx, sx, my, sy)
+			vals32[i] = s32.score(muE, sE, muT, sT)
 		}
 	})
+	// NaN scores (outside float32's trusted region) are skipped here and
+	// re-scored below, since NaN < thresh is false.
 	best32 := float32(0)
 	for i, v := range vals32 {
 		if live[i] && v > best32 {
@@ -424,7 +428,7 @@ func (o *Optimizer) prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, c
 		}
 	}
 	if best32 < prescreenMin {
-		// Degenerate regime: approximate scores are all ~0, run exact.
+		// Degenerate regime: approximate scores are all ~0; run exact.
 		parallel.ForChunk(len(vals), func(lo, hi int) {
 			scanEHVI(strips, cacheE, cacheT, live, vals, gs, lo, hi)
 		})

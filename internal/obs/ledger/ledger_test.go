@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -334,4 +336,84 @@ func TestRoundCapDropsAndCounts(t *testing.T) {
 	if got := l.Len(); got != 7 {
 		t.Fatalf("post-uncap kept %d, want 7", got)
 	}
+}
+
+// FuzzLedgerHandler drives /v1/ledger with arbitrary round, kind, offset and
+// limit query values. The handler must never panic and must answer 200 or
+// 400; a 200 must carry the filtered count in X-Bofl-Ledger-Total and a
+// seq-ordered body that is exactly the [offset, offset+limit) window of the
+// filtered stream, so never more lines than a positive limit.
+func FuzzLedgerHandler(f *testing.F) {
+	l := New(0)
+	for round := 1; round <= 3; round++ {
+		for _, ev := range sampleEvents() {
+			ev.Round = round
+			l.Append(ev)
+		}
+	}
+	events := l.Events()
+	for _, seed := range [][4]string{
+		{"", "", "", ""},
+		{"1", "attempt", "0", "2"},
+		{"2", "commit", "99", "0"},
+		{"", "attempt", "1", "3"},
+		{"x", "", "", ""},
+		{"", "", "-1", ""},
+		{"", "", "", "-2"},
+		{"3", "quorum", "", "1"},
+		{"99999999999999999999", "", "", ""},
+		{"", "", "9223372036854775807", "9223372036854775807"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+
+	f.Fuzz(func(t *testing.T, round, kind, offset, limit string) {
+		q := url.Values{"round": {round}, "kind": {kind}, "offset": {offset}, "limit": {limit}}
+		rec := httptest.NewRecorder()
+		l.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/ledger?"+q.Encode(), nil))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for %s", rec.Code, q.Encode())
+		}
+
+		// A 200 means every non-empty value parsed.
+		atoi := func(s string) int {
+			if s == "" {
+				return 0
+			}
+			v, err := strconv.Atoi(s)
+			if err != nil {
+				t.Fatalf("200 for unparsable %q in %s", s, q.Encode())
+			}
+			return v
+		}
+		var want []Event
+		for _, ev := range events {
+			if (round == "" || ev.Round == atoi(round)) && (kind == "" || ev.Kind == kind) {
+				want = append(want, ev)
+			}
+		}
+		if got := rec.Header().Get("X-Bofl-Ledger-Total"); got != strconv.Itoa(len(want)) {
+			t.Fatalf("total header %q, filtered count %d, for %s", got, len(want), q.Encode())
+		}
+		want = want[min(atoi(offset), len(want)):]
+		if n := atoi(limit); n > 0 && n < len(want) {
+			want = want[:n]
+		}
+		got, err := ReadJSONL(rec.Body)
+		if err != nil {
+			t.Fatalf("body for %s: %v", q.Encode(), err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d lines, want %d, for %s", len(got), len(want), q.Encode())
+		}
+		for i := range got {
+			if got[i].Seq != want[i].Seq || (i > 0 && got[i].Seq <= got[i-1].Seq) {
+				t.Fatalf("line %d has seq %d, want %d in seq order, for %s", i, got[i].Seq, want[i].Seq, q.Encode())
+			}
+		}
+	})
 }
